@@ -4,8 +4,7 @@ derivatives, collocation rows, and batched curve/surface evaluation.
 The functions below are written in loop style so the exact same source runs
 either JIT-compiled by numba or interpreted on plain numpy arrays.  The
 fallback is selected by setting ``CLOSEDLOFT_NO_NUMBA=1`` in the environment
-(or automatically when numba is not installed).  ``benchmarks/bench_kernels.py``
-times the two paths against each other.
+(or automatically when numba is not installed).
 
 All kernels take raw float64 arrays.  Knot vectors are the *full* arrays
 (clamped or cyclically extended); callers are responsible for domain checks.

@@ -150,6 +150,11 @@ def parse_contours(source):
     if hints:
         starts = hints.get("starts")
         flags = hints.get("reversed")
+        for name, values in (("starts", starts), ("reversed", flags)):
+            if values is not None and len(values) != len(rows):
+                raise ContourParseError(
+                    f"hints.{name} has {len(values)} entries for {len(rows)} rows"
+                )
         if flags is not None:
             rows = [r[::-1] if f else r for r, f in zip(rows, flags)]
         if starts is not None:
@@ -376,6 +381,8 @@ def cmd_loft(args):
         raise _UsageError("degrees must be >= 1")
     if args.alpha < 0 or args.beta < 0:
         raise _UsageError("alpha and beta must be non-negative")
+    if args.method == "park" and args.alpha == 0 and args.beta == 0:
+        raise _UsageError("park needs a positive alpha or beta")
     rows = parse_contours(args.input)
     if args.method == "piegl":
         result = loft_closed_piegl(rows, args.degree_u, args.degree_v, args.per, align=args.align)

@@ -1,6 +1,9 @@
 """B-spline primitives: knot vectors, basis evaluation, open/closed curves,
 tensor-product surfaces, clamping, knot refinement and knot-vector merging.
 
+Knot refinement inserts all new knots in one vectorized pass (the Oslo
+algorithm), not one Boehm insertion at a time.
+
 Conventions used throughout the package:
 
 * All knot vectors are normalized to the domain ``[0, 1]``.
@@ -428,26 +431,36 @@ def clamp_closed_curve(curve):
     return BSplineCurve(p, KnotVector(knots, p, CLAMPED), ctrl, kind="open")
 
 
-def _insert_knot(knots, degree, ctrl, u):
+def _check_refined_multiplicities(knots, degree):
+    """Raise if a knot group of the refined vector exceeds its multiplicity.
+
+    Groups are those of :func:`knot_multiplicities`; interior groups may hold
+    at most ``degree`` knots and the two end groups exactly ``degree + 1``.
+    A group of more than ``degree`` knots spans at most ``KNOT_TOL``, so the
+    exact grouping runs only when some window of ``degree + 1`` consecutive
+    interior knots is that narrow.
+    """
     p = degree
-    span = int(_kernels.find_span(knots, p, u))
-    new_ctrl = np.empty((ctrl.shape[0] + 1, ctrl.shape[1]))
-    new_ctrl[: span - p + 1] = ctrl[: span - p + 1]
-    for i in range(span - p + 1, span + 1):
-        den = knots[i + p] - knots[i]
-        if den <= 0.0:
+    inner = knots[1:-1]
+    if not np.any(inner[p:] - inner[:-p] <= KNOT_TOL):
+        return
+    values, counts = knot_multiplicities(knots)
+    for k, (v, c) in enumerate(zip(values, counts)):
+        limit = p + 1 if k in (0, len(values) - 1) else p
+        if c > limit:
             raise InvalidInputError(
-                f"inserting {u} would raise a knot multiplicity beyond the degree"
+                f"refinement would give knot {v!r} multiplicity {c}, beyond the degree {p}"
             )
-        alpha = (u - knots[i]) / den
-        new_ctrl[i] = alpha * ctrl[i] + (1.0 - alpha) * ctrl[i - 1]
-    new_ctrl[span + 1:] = ctrl[span:]
-    new_knots = np.insert(knots, span + 1, u)
-    return new_knots, new_ctrl
 
 
 def refine_knots(curve, new_knots):
-    """Insert knots into an open (clamped) curve; the shape is unchanged."""
+    """Insert knots into an open (clamped) curve; the shape is unchanged.
+
+    All knots go in at once (the Oslo algorithm): new control point j is
+    sum_i alpha_i(j) P_i over the old span mu with t_mu <= tau_j < t_mu+1,
+    where the discrete B-spline row alpha(j) = R_1(tau_j+1) ... R_p(tau_j+p)
+    is the Cox-de Boor recurrence with x replaced by successive new knots.
+    """
     if curve.kind != "open":
         raise InvalidInputError("refine_knots operates on clamped (open) curves")
     add = np.atleast_1d(np.asarray(new_knots, dtype=float))
@@ -455,11 +468,27 @@ def refine_knots(curve, new_knots):
         return curve
     if np.any(add <= 0.0) or np.any(add >= 1.0):
         raise InvalidInputError("refinement knots must lie strictly inside (0, 1)")
-    knots = curve.knots.knots.copy()
-    ctrl = curve.control_points.copy()
-    for u in np.sort(add):
-        knots, ctrl = _insert_knot(knots, curve.degree, ctrl, float(u))
-    return BSplineCurve(curve.degree, KnotVector(knots, curve.degree, CLAMPED), ctrl, kind="open")
+    p = curve.degree
+    t = curve.knots.knots
+    tau = np.sort(np.concatenate([t, add]))
+    _check_refined_multiplicities(tau, p)
+    n_new = tau.size - p - 1
+    # tau_j < 1 for every new control point, so mu <= n_old - 1 and the
+    # denominators t_{i+k} - t_i >= t_{mu+1} - t_mu are positive
+    mu = np.searchsorted(t, tau[:n_new], side="right") - 1
+    alpha = np.ones((n_new, 1))
+    for k in range(1, p + 1):
+        i = mu[:, None] + np.arange(1 - k, 1)
+        lo, hi = t[i], t[i + k]
+        x = tau[k: n_new + k, None]
+        w = alpha / (hi - lo)
+        nxt = np.zeros((n_new, k + 1))
+        nxt[:, :-1] += w * (hi - x)
+        nxt[:, 1:] += w * (x - lo)
+        alpha = nxt
+    gathered = curve.control_points[mu[:, None] + np.arange(-p, 1)]
+    ctrl = np.einsum("jr,jrc->jc", alpha, gathered)
+    return BSplineCurve(p, KnotVector(tau, p, CLAMPED), ctrl, kind="open")
 
 
 def knot_multiplicities(knots, tol=KNOT_TOL):

@@ -74,6 +74,17 @@ def test_parse_alignment_hints_applied():
     np.testing.assert_array_equal(rows.rows[1], np.roll(base, -2, axis=0))
 
 
+def test_parse_rejects_hint_list_shorter_than_rows(tmp_path):
+    base = circle_points(8)
+    doc = {"version": 1, "rows": [base.tolist()] * 5, "hints": {"starts": [1]}}
+    with pytest.raises(cli_io.ContourParseError, match="hints.starts has 1 entries for 5 rows"):
+        cli_io.parse_contours(json.dumps(doc))
+    inp = _write(tmp_path, "short.json", json.dumps(doc))
+    code, _, err = _run(["loft", "--input", inp, "--output", str(tmp_path / "s.json")])
+    assert code == 1
+    assert "1 entries for 5 rows" in err
+
+
 def test_parse_errors():
     with pytest.raises(cli_io.ContourParseError, match="line"):
         cli_io.parse_contours('{"rows": [[[0,0,0],')
@@ -164,6 +175,17 @@ def test_cmd_loft_bad_per(tmp_path):
     code, _, err = _run(["loft", "--input", inp, "--per", "1.5", "--output", "x.json"])
     assert code == 64
     assert "per must lie in [0,1]" in err
+
+
+def test_cmd_loft_park_zero_weights_usage_error(tmp_path):
+    inp = _tube_file(tmp_path, m1=5)
+    for per in ("0", "1"):
+        code, _, err = _run(
+            ["loft", "--input", inp, "--method", "park", "--per", per,
+             "--alpha", "0", "--beta", "0", "--output", str(tmp_path / "z.json")]
+        )
+        assert code == 64
+        assert "positive alpha or beta" in err
 
 
 def test_cmd_loft_park_equals_piegl_on_equal_rows(tmp_path):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from closedloft import spline_core as sc
 from closedloft.errors import DomainError, InvalidInputError
@@ -254,6 +255,89 @@ def test_refine_rejects_out_of_domain(rng):
     c = sc.clamp_closed_curve(random_closed_curve(rng, 2))
     with pytest.raises(InvalidInputError):
         sc.refine_knots(c, [1.2])
+
+
+def _cubic_with_interior(interior):
+    kv = sc.KnotVector(np.concatenate([np.zeros(4), interior, np.ones(4)]), 3, "clamped")
+    ctrl = np.random.default_rng(3).normal(size=(kv.n_basis, 3))
+    return sc.BSplineCurve(3, kv, ctrl, "open")
+
+
+@pytest.mark.parametrize("existing, added", [([0.5], 2), ([], 3)])
+def test_refine_allows_multiplicity_up_to_degree(existing, added):
+    c = _cubic_with_interior(existing)
+    refined = sc.refine_knots(c, [0.5] * added)
+    values, counts = sc.knot_multiplicities(refined.knots.knots)
+    assert counts[values.index(0.5)] == 3
+
+
+@pytest.mark.parametrize("existing, added", [([0.5], 3), ([0.5], 5), ([], 4)])
+def test_refine_rejects_multiplicity_beyond_degree(existing, added):
+    c = _cubic_with_interior(existing)
+    with pytest.raises(InvalidInputError, match="knot 0.5 multiplicity"):
+        sc.refine_knots(c, [0.5] * added)
+
+
+def test_refine_rejects_knot_merging_into_an_end():
+    c = _cubic_with_interior([0.5])
+    with pytest.raises(InvalidInputError, match="knot 0.0 multiplicity 5"):
+        sc.refine_knots(c, [1e-12])
+
+
+def _boehm_refine(curve, new_knots):
+    """Reference: one Boehm insertion per knot (The NURBS Book, A5.1)."""
+    p = curve.degree
+    knots, ctrl = curve.knots.knots, curve.control_points
+    for u in np.sort(new_knots):
+        span = int(np.searchsorted(knots, u, side="right")) - 1
+        i = np.arange(span - p + 1, span + 1)
+        alpha = ((u - knots[i]) / (knots[i + p] - knots[i]))[:, None]
+        mid = alpha * ctrl[i] + (1.0 - alpha) * ctrl[i - 1]
+        ctrl = np.vstack([ctrl[: span - p + 1], mid, ctrl[span:]])
+        knots = np.insert(knots, span + 1, u)
+    return knots, ctrl
+
+
+@st.composite
+def refinement_cases(draw):
+    """A clamped curve with interior knots on a 1/64 grid, and knots to insert
+    on a 1/128 grid (so some coincide with existing knots), split in two parts.
+    No knot exceeds multiplicity p after insertion."""
+    p = draw(st.integers(1, 5))
+    existing = {
+        2 * k: draw(st.integers(1, p))
+        for k in draw(st.sets(st.integers(1, 63), max_size=8))
+    }
+    added = []
+    for k in draw(st.sets(st.integers(1, 127), min_size=1, max_size=10)):
+        room = p - existing.get(k, 0)
+        added += [k / 128] * draw(st.integers(0, room))
+    added = draw(st.permutations(added))
+    split = draw(st.integers(0, len(added)))
+    interior = np.repeat([k / 128 for k in sorted(existing)], [existing[k] for k in sorted(existing)])
+    kv = sc.KnotVector(np.concatenate([np.zeros(p + 1), interior, np.ones(p + 1)]), p, "clamped")
+    seed = draw(st.integers(0, 2**32 - 1))
+    ctrl = np.random.default_rng(seed).normal(size=(kv.n_basis, 3))
+    curve = sc.BSplineCurve(p, kv, ctrl, "open")
+    return curve, np.asarray(added), added[:split], added[split:]
+
+
+@settings(deadline=None, max_examples=150)
+@given(refinement_cases())
+def test_refine_properties(case):
+    c, added, a, b = case
+    scale = max(sc.bbox_diagonal(c.control_points), 1.0)
+    refined = sc.refine_knots(c, added)
+    np.testing.assert_array_equal(refined.knots.knots, np.sort(np.concatenate([c.knots.knots, added])))
+    us = np.linspace(0.0, 1.0, 200)
+    dev = np.linalg.norm(sc.eval_curve(c, us) - sc.eval_curve(refined, us), axis=1).max()
+    assert dev <= 1e-12 * scale
+    ref_knots, ref_ctrl = _boehm_refine(c, added)
+    np.testing.assert_array_equal(refined.knots.knots, ref_knots)
+    assert np.abs(refined.control_points - ref_ctrl).max() <= 1e-13 * scale
+    twice = sc.refine_knots(sc.refine_knots(c, a), b)
+    np.testing.assert_array_equal(twice.knots.knots, refined.knots.knots)
+    assert np.abs(twice.control_points - refined.control_points).max() <= 1e-13 * scale
 
 
 # --- merging ---
