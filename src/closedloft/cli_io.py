@@ -11,7 +11,11 @@ Contours (CSV): one ``x y z`` line per point, blank line between rows,
 Surfaces: a JSON document carrying degrees, style-tagged knot vectors, the
 control net and a provenance block.  Numbers are written with shortest
 round-trip ``repr`` (at most 17 significant digits), so parsing a serialized
-surface reproduces it bit-exactly.
+surface reproduces it bit-exactly.  The writer lays the document out exactly
+as ``json.dumps(doc, indent=1, sort_keys=True)`` does, byte for byte, but
+fills the float arrays into a precomputed ``%s`` template instead of running
+json's per-element Python encoder (which ``indent`` forces).  OBJ meshes are
+template fills too.
 
 Exit codes: 0 success, 1 input validation failure, 2 numerical failure,
 3 conjecture counterexample found, 64 bad flags.
@@ -19,7 +23,9 @@ Exit codes: 0 success, 1 input validation failure, 2 numerical failure,
 
 import argparse
 import hashlib
+import itertools
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -46,7 +52,7 @@ from .errors import (
     PreconditionError,
     SingularSystemError,
 )
-from .loft import ContourRows, loft_closed_park, loft_closed_piegl, loft_open
+from .loft import ContourRows, loft_closed_park, loft_closed_piegl, loft_open, park_bend_weight
 from .param_knots import (
     AVERAGING,
     NATURAL,
@@ -196,19 +202,88 @@ def _knots_from_payload(payload):
     )
 
 
+def _join_ascii(pieces):
+    """Concatenate ASCII text pieces while holding only one of them.
+
+    A list of all the pieces of a large document would stay allocated until
+    the join and leave the allocator's heap fragmented afterwards.
+    """
+    buf = bytearray()
+    for piece in pieces:
+        buf += piece.encode("ascii")
+    return buf.decode("ascii")
+
+
+def _indented(text, level):
+    """Shift json.dumps(..., indent=1) text so it starts at depth ``level``."""
+    return text.replace("\n", "\n" + " " * level)
+
+
+def _object_parts(items, level):
+    """Pieces of the json.dumps(indent=1, sort_keys=True) text of a dict whose
+    brace sits at depth ``level``; ``items`` maps each key to the pieces of
+    its already-written value."""
+    inner = "\n" + " " * (level + 1)
+    sep = "{"
+    for k, v in sorted(items.items()):
+        yield sep + inner + json.dumps(k) + ": "
+        yield from v
+        sep = ","
+    yield "\n" + " " * level + "}"
+
+
+def _array_template(shape, level):
+    """``%s`` template of the json.dumps(indent=1) layout of a nested list of
+    this shape whose opening bracket sits at depth ``level``."""
+    if not shape:
+        return "%s"
+    inner = " " * (level + 1)
+    item = _array_template(shape[1:], level + 1)
+    return "[\n" + inner + (",\n" + inner).join([item] * shape[0]) + "\n" + " " * level + "]"
+
+
+def _float_array_parts(arr, level):
+    """Pieces of json.dumps(arr.tolist(), indent=1) at depth ``level`` for an
+    array with no empty axis, one per top-level row, filled into a template
+    from ``float.__repr__``, which is how json writes a finite float."""
+    if not np.all(np.isfinite(arr)):
+        yield _indented(json.dumps(arr.tolist(), indent=1), level)
+        return
+    sep = "[\n" + " " * (level + 1)
+    row = _array_template(arr.shape[1:], level + 1)
+    for r in arr.reshape(arr.shape[0], -1):
+        yield sep + row % tuple(map(float.__repr__, r.tolist()))
+        sep = ",\n" + " " * (level + 1)
+    yield "\n" + " " * level + "]"
+
+
+def _knots_parts(kv, level):
+    return _object_parts(
+        {"degree": [json.dumps(kv.degree)], "style": [json.dumps(kv.style)],
+         "values": _float_array_parts(kv.knots, level + 1)},
+        level,
+    )
+
+
 def serialize_surface(surface_file):
+    """The surface document, byte for byte as
+    ``json.dumps(doc, indent=1, sort_keys=True) + "\\n"`` writes it.
+
+    The float arrays are template fills; the small parts go through json.
+    """
     s = surface_file.surface
     doc = {
-        "version": 1,
-        "degree_u": s.degree_u,
-        "degree_v": s.degree_v,
-        "knots_u": _knots_payload(s.knots_u),
-        "knots_v": _knots_payload(s.knots_v),
-        "closed_v": bool(s.closed_v),
-        "control_net": s.control_net.tolist(),
-        "provenance": surface_file.provenance,
+        "version": [json.dumps(1)],
+        "degree_u": [json.dumps(s.degree_u)],
+        "degree_v": [json.dumps(s.degree_v)],
+        "knots_u": _knots_parts(s.knots_u, 1),
+        "knots_v": _knots_parts(s.knots_v, 1),
+        "closed_v": [json.dumps(bool(s.closed_v))],
+        "control_net": _float_array_parts(s.control_net, 1),
+        # ensure_ascii (the default) keeps the document ASCII
+        "provenance": [_indented(json.dumps(surface_file.provenance, indent=1, sort_keys=True), 1)],
     }
-    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    return _join_ascii(itertools.chain(_object_parts(doc, 0), ["\n"]))
 
 
 def parse_surface(text):
@@ -238,20 +313,17 @@ def export_obj(surface, samples_u, samples_v):
     vs = (np.arange(sv) / sv) if closed else np.linspace(0.0, 1.0, sv)
     uu, vv = [a.ravel() for a in np.meshgrid(us, vs, indexing="ij")]
     pts = eval_surface(surface, uu, vv).reshape(su, sv, 3)
-    lines = [f"# closedloft surface mesh {su}x{sv}" + (" (v-seam stitched)" if closed else "")]
-    for i in range(su):
-        for j in range(sv):
-            x, y, z = (float(c) for c in pts[i, j])
-            lines.append(f"v {x!r} {y!r} {z!r}")
-    def vid(i, j):
-        return i * sv + (j % sv) + 1
+    header = f"# closedloft surface mesh {su}x{sv}" + (" (v-seam stitched)" if closed else "")
+    vert_row = "v %s %s %s\n" * sv
+    verts = (vert_row % tuple(map(float.__repr__, r.tolist())) for r in pts.reshape(su, -1))
+    # quad (i, j) joins rows i, i+1 and columns j, j+1; a closed seam wraps j+1 to 0
     jmax = sv if closed else sv - 1
-    for i in range(su - 1):
-        for j in range(jmax):
-            lines.append(
-                f"f {vid(i, j)} {vid(i + 1, j)} {vid(i + 1, j + 1)} {vid(i, j + 1)}"
-            )
-    return "\n".join(lines) + "\n"
+    i, j = np.meshgrid(np.arange(su - 1), np.arange(jmax), indexing="ij")
+    j1 = (j + 1) % sv
+    quads = np.stack([i * sv + j, (i + 1) * sv + j, (i + 1) * sv + j1, i * sv + j1], axis=2) + 1
+    face_row = "f %d %d %d %d\n" * jmax
+    faces = (face_row % tuple(q.tolist()) for q in quads.reshape(su - 1, -1))
+    return _join_ascii(itertools.chain([header + "\n"], verts, faces))
 
 
 def _fmt(x):
@@ -379,17 +451,23 @@ def cmd_loft(args):
     _check_per(args.per)
     if args.degree_u < 1 or args.degree_v < 1:
         raise _UsageError("degrees must be >= 1")
+    if not (math.isfinite(args.alpha) and math.isfinite(args.beta)):
+        raise _UsageError("alpha and beta must be finite")
     if args.alpha < 0 or args.beta < 0:
         raise _UsageError("alpha and beta must be non-negative")
-    if args.method == "park" and args.alpha == 0 and args.beta == 0:
-        raise _UsageError("park needs a positive alpha or beta")
+    alpha, beta = args.alpha, park_bend_weight(args.degree_v, args.beta)
+    if args.method == "park" and alpha == 0 and beta == 0:
+        raise _UsageError(
+            "park needs a positive alpha or beta"
+            + (" (beta has no effect at --degree-v 1)" if args.beta != beta else "")
+        )
     rows = parse_contours(args.input)
     if args.method == "piegl":
         result = loft_closed_piegl(rows, args.degree_u, args.degree_v, args.per, align=args.align)
     elif args.method == "park":
         result = loft_closed_park(
             rows, args.degree_u, args.degree_v, args.per,
-            alpha=args.alpha, beta=args.beta, align=args.align,
+            alpha=alpha, beta=beta, align=args.align,
         )
     else:
         result = loft_open(rows, args.degree_u, args.degree_v)
@@ -397,8 +475,8 @@ def cmd_loft(args):
         "tool_version": __version__,
         "method": result.method,
         "per": args.per if result.per is not None else None,
-        "alpha": args.alpha if args.method == "park" else None,
-        "beta": args.beta if args.method == "park" else None,
+        "alpha": alpha if args.method == "park" else None,
+        "beta": beta if args.method == "park" else None,
         "degree_u": args.degree_u,
         "degree_v": args.degree_v,
         "align": args.align,

@@ -124,6 +124,7 @@ def solve_dense(matrix, rhs):
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         lu, piv = scipy.linalg.lu_factor(m, check_finite=False)
     if np.abs(np.diag(lu)).min() <= PIVOT_TOL * scale:
+        del lu  # the rank report copies m; at a few thousand unknowns both are large
         raise SingularSystemError(
             "matrix is numerically singular", rank_report=rank_report(m)
         )
@@ -176,6 +177,8 @@ def stiffness_matrix(kv, alpha=1.0, beta=0.2):
     cyclic knot vector the integral covers one period only.  The result is
     exactly symmetric and banded with bandwidth 2p+1.
     """
+    if not (np.isfinite(alpha) and np.isfinite(beta)):
+        raise InvalidInputError("stretch and bend weights must be finite")
     if alpha < 0.0 or beta < 0.0:
         raise InvalidInputError("stretch and bend weights must be non-negative")
     p = kv.degree

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import ClosedLoftError, InvalidInputError, ZeroPivotError
 from .curve_interp import (
     ClosedInterpolationProblem,
+    build_domain_knots_by_input_knots,
     interpolate_closed_energy,
     interpolate_closed_square,
     interpolate_open,
@@ -231,8 +232,6 @@ def build_common_domain_knots(rows, degree, per, align="auto"):
     t_avg, _ = _averaged_max_row_parameters(rows)
     threaded = anchor_vectors(t_avg, degree).anchors
     collected = None
-    from .curve_interp import build_domain_knots_by_input_knots
-
     for r in rows.rows:
         t_row = closed_parameters(r)
         selection = build_domain_knots_by_input_knots(t_row, threaded, degree, per)
@@ -335,12 +334,20 @@ def loft_closed_piegl(rows, degree_u, degree_v, per, align="auto"):
     return _assemble_and_check(rows, row_curves, degree_u, "piegl", per, closed=True)
 
 
+def park_bend_weight(degree_v, beta):
+    """The bend weight ``park`` solves with: 0 at degree 1, where second
+    derivatives of the basis vanish inside every span."""
+    return beta if degree_v >= 2 else 0.0
+
+
 def loft_closed_park(rows, degree_u, degree_v, per, alpha=1.0, beta=0.2, align="auto"):
     """Closed lofting via common domain knots and per-row energy solves.
 
     Every row shares one cyclic knot vector, so a single clamping pass per
-    row yields compatible curves without refinement.
+    row yields compatible curves without refinement.  The bend weight used
+    is that of :func:`park_bend_weight`.
     """
+    beta = park_bend_weight(degree_v, beta)
     rows = _prepare(rows, degree_v, align)
     common_domain = build_common_domain_knots(rows, degree_v, per, align="none")
     curves, params, residuals = [], [], []

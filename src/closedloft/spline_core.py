@@ -2,7 +2,9 @@
 tensor-product surfaces, clamping, knot refinement and knot-vector merging.
 
 Knot refinement inserts all new knots in one vectorized pass (the Oslo
-algorithm), not one Boehm insertion at a time.
+algorithm), not one Boehm insertion at a time.  Knot multisets (grouping,
+merging, missing knots) are numpy passes too; only a chain of knots closer
+than ``KNOT_TOL`` that spans more than it is walked knot by knot.
 
 Conventions used throughout the package:
 
@@ -491,21 +493,48 @@ def refine_knots(curve, new_knots):
     return BSplineCurve(p, KnotVector(tau, p, CLAMPED), ctrl, kind="open")
 
 
+def _knot_groups(arr, tol):
+    """Start indices of the knot groups of a sorted array.
+
+    A knot opens a new group when it lies more than tol above the group's
+    first knot.  A gap above tol between neighbours always opens one; only
+    a run of close neighbours spanning more than tol is walked knot by knot.
+    """
+    if arr.size == 0:
+        return np.zeros(0, dtype=np.intp)
+    starts = np.flatnonzero(np.concatenate(([True], np.diff(arr) > tol)))
+    ends = np.append(starts[1:], arr.size)
+    wide = np.flatnonzero(arr[ends - 1] - arr[starts] > tol)
+    if wide.size == 0:
+        return starts
+    extra = []
+    for c in wide:
+        first = arr[starts[c]]
+        for k in range(starts[c] + 1, ends[c]):
+            if arr[k] - first > tol:
+                extra.append(k)
+                first = arr[k]
+    return np.sort(np.concatenate([starts, extra]).astype(np.intp))
+
+
+def _multiset(knots, tol):
+    """(values, counts) arrays of the knot groups of a sorted knot array."""
+    arr = np.asarray(knots, dtype=float)
+    starts = _knot_groups(arr, tol)
+    return arr[starts], np.diff(np.append(starts, arr.size))
+
+
 def knot_multiplicities(knots, tol=KNOT_TOL):
     """Group a sorted knot array into (values, counts); values within tol of
-    the group representative collapse together."""
-    arr = np.asarray(knots, dtype=float)
-    values, counts = [], []
-    for x in arr:
-        if values and x - values[-1] <= tol:
-            counts[-1] += 1
-        else:
-            values.append(float(x))
-            counts.append(1)
-    return values, counts
+    the group representative (its first knot) collapse together."""
+    values, counts = _multiset(knots, tol)
+    return values.tolist(), counts.tolist()
 
 
-def _merge_multisets(va, ca, vb, cb, tol=KNOT_TOL):
+def _merge_walk(va, ca, vb, cb, tol):
+    """Two-pointer merge of sorted (values, counts) lists: a knot of one list
+    more than tol below the other's current knot is taken alone, otherwise
+    the two pair up as the smaller value with the larger count."""
     out_v, out_c = [], []
     i = j = 0
     while i < len(va) or j < len(vb):
@@ -514,10 +543,47 @@ def _merge_multisets(va, ca, vb, cb, tol=KNOT_TOL):
         elif i >= len(va) or vb[j] < va[i] - tol:
             out_v.append(vb[j]); out_c.append(cb[j]); j += 1
         else:
-            # same knot up to tolerance: smaller representative, max multiplicity
             out_v.append(min(va[i], vb[j])); out_c.append(max(ca[i], cb[j]))
             i += 1; j += 1
     return out_v, out_c
+
+
+def _merge_multisets(va, ca, vb, cb, tol=KNOT_TOL):
+    """The result of :func:`_merge_walk`, as (values, counts) arrays.
+
+    Sorted together, the knots of both lists fall into clusters where a knot
+    x and the next y satisfy x < y - tol; the walk never pairs knots across
+    that gap and finishes one cluster before the next.  A cluster holding at
+    most one knot of each list is a pair or a single knot; only clusters
+    with more are walked.
+    """
+    va, vb = np.asarray(va, dtype=float), np.asarray(vb, dtype=float)
+    ca, cb = np.asarray(ca, dtype=np.int64), np.asarray(cb, dtype=np.int64)
+    both = np.concatenate([va, vb])
+    if both.size == 0:
+        return both, np.zeros(0, dtype=np.int64)
+    # stable: a tie lists the knot of va first, as min(va[i], vb[j]) returns it
+    order = np.argsort(both, kind="stable")
+    x = both[order]
+    starts = np.flatnonzero(np.concatenate(([True], x[:-1] < x[1:] - tol)))
+    values = x[starts]
+    counts = np.maximum.reduceat(np.concatenate([ca, cb])[order], starts)
+    na = np.add.reduceat((order < va.size).astype(np.int64), starts)
+    nb = np.diff(np.append(starts, x.size)) - na
+    busy = np.flatnonzero((na > 1) | (nb > 1))
+    if busy.size == 0:
+        return values, counts
+    a0 = np.cumsum(na) - na
+    b0 = np.cumsum(nb) - nb
+    out_v, out_c, done = [], [], 0
+    for k in busy:
+        sa, sb = slice(a0[k], a0[k] + na[k]), slice(b0[k], b0[k] + nb[k])
+        v, c = _merge_walk(va[sa].tolist(), ca[sa].tolist(), vb[sb].tolist(), cb[sb].tolist(), tol)
+        out_v += [values[done:k], np.asarray(v, dtype=float)]
+        out_c += [counts[done:k], np.asarray(c, dtype=np.int64)]
+        done = k + 1
+    return (np.concatenate(out_v + [values[done:]]),
+            np.concatenate(out_c + [counts[done:]]))
 
 
 def merge_knot_vectors(a, b):
@@ -526,30 +592,27 @@ def merge_knot_vectors(a, b):
         raise InvalidInputError("cannot merge knot vectors of different degree")
     if a.style != CLAMPED or b.style != CLAMPED:
         raise InvalidInputError("merge_knot_vectors expects clamped knot vectors")
-    va, ca = knot_multiplicities(a.knots)
-    vb, cb = knot_multiplicities(b.knots)
-    out_v, out_c = _merge_multisets(va, ca, vb, cb)
-    merged = np.repeat(out_v, out_c)
-    return KnotVector(merged, a.degree, CLAMPED)
+    out_v, out_c = _merge_multisets(*_multiset(a.knots, KNOT_TOL), *_multiset(b.knots, KNOT_TOL))
+    return KnotVector(np.repeat(out_v, out_c), a.degree, CLAMPED)
 
 
 def merge_domain_knots(a, b, tol=KNOT_TOL):
     """Sorted union of two strictly-increasing domain-knot sequences."""
-    va = [float(x) for x in np.asarray(a, dtype=float)]
-    vb = [float(x) for x in np.asarray(b, dtype=float)]
-    out_v, _ = _merge_multisets(va, [1] * len(va), vb, [1] * len(vb), tol)
-    return np.asarray(out_v)
+    va, vb = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    out_v, _ = _merge_multisets(va, np.ones(va.size), vb, np.ones(vb.size), tol)
+    return out_v
 
 
 def missing_knots(target, base, tol=KNOT_TOL):
-    """Knots (with multiplicity) present in target but not in base."""
-    vt, ct = knot_multiplicities(target.knots, tol)
-    vb, cb = knot_multiplicities(base.knots, tol)
-    out = []
-    j = 0
-    for v, c in zip(vt, ct):
-        while j < len(vb) and vb[j] < v - tol:
-            j += 1
-        have = cb[j] if j < len(vb) and abs(vb[j] - v) <= tol else 0
-        out.extend([v] * max(0, c - have))
-    return np.asarray(out)
+    """Knots (with multiplicity) present in target but not in base.
+
+    Each knot group of target is matched with the first group of base not
+    more than tol below it, when that group lies within tol.
+    """
+    vt, ct = _multiset(target.knots, tol)
+    vb, cb = _multiset(base.knots, tol)
+    j = np.searchsorted(vb, vt - tol, side="left")
+    jc = np.minimum(j, vb.size - 1)
+    near = (j < vb.size) & (np.abs(vb[jc] - vt) <= tol)
+    have = np.where(near, cb[jc], 0)
+    return np.repeat(vt, np.maximum(0, ct - have))

@@ -5,6 +5,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from closedloft import cli_io
 from closedloft import spline_core as sc
@@ -24,6 +25,9 @@ def _tube_file(tmp_path, name="tube.json", m1=8, seed=0):
     return _write(
         tmp_path, name, json.dumps({"version": 1, "rows": [r.tolist() for r in rows]})
     )
+
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def _run(argv):
@@ -151,6 +155,174 @@ def test_obj_sample_validation(rng):
         cli_io.export_obj(_small_surface(rng), 1, 8)
 
 
+# --- pinned file formats ---
+#
+# tests/data holds surface files and meshes written by the per-element
+# writers that the template writers replaced.  The golden surfaces have
+# degree 2 and knots on a 1/4 grid, so every basis value at the dyadic
+# sample parameters, and every mesh coordinate, is exact: the meshes pin the
+# OBJ text, not the rounding of the evaluation kernels.
+
+SPECIAL_FLOATS = (-0.0, 5e-324, 1e-300, 1e16, 1e22, 0.1, 1.0 / 3.0, 2.0**53, -2.5e-8, 7.0)
+
+
+def _golden_surface(closed, special):
+    ku = sc.clamped_knot_vector([0, 0.5, 1], 2)
+    domain = [0, 0.25, 0.5, 0.75, 1]
+    kv = sc.cyclic_knot_vector(domain, 2) if closed else sc.clamped_knot_vector(domain, 2)
+    cols = kv.n_basis - (2 if closed else 0)
+    net = ((np.arange(ku.n_basis * cols * 3) * 37) % 61 - 30).astype(float) / 16.0
+    if special:
+        net[: len(SPECIAL_FLOATS)] = SPECIAL_FLOATS
+    return sc.BSplineSurface(2, 2, ku, kv, net.reshape(ku.n_basis, cols, 3))
+
+
+GOLDEN_PROVENANCE = {
+    True: {
+        "tool_version": "0.1.0", "method": "park", "per": 0.0, "alpha": 1.0, "beta": None,
+        "degree_u": 2, "degree_v": 2, "align": "auto", "note": "r\u00e9sum\u00e9 \u2603",
+        "nested": {"b": [1, 2.5, {"z": None}], "a": {}, "c": []},
+    },
+    False: {},
+}
+GOLDEN = {True: ("surface_cyclic_v.json", "mesh_cyclic_v.obj", (5, 8)),
+          False: ("surface_clamped_v.json", "mesh_clamped_v.obj", (3, 5))}
+
+
+def _golden_bytes(name):
+    with open(os.path.join(DATA, name), "rb") as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize("closed", [True, False])
+def test_writers_reproduce_golden_files(closed):
+    json_name, obj_name, samples = GOLDEN[closed]
+    sf = cli_io.SurfaceFile(_golden_surface(closed, True), GOLDEN_PROVENANCE[closed])
+    assert cli_io.serialize_surface(sf).encode("utf-8") == _golden_bytes(json_name)
+    obj = cli_io.export_obj(_golden_surface(closed, False), *samples)
+    assert obj.encode("utf-8") == _golden_bytes(obj_name)
+
+
+def _json_oracle(surface_file):
+    """The surface document as the json module lays it out."""
+    s = surface_file.surface
+    doc = {
+        "version": 1,
+        "degree_u": s.degree_u,
+        "degree_v": s.degree_v,
+        "knots_u": {"style": s.knots_u.style, "degree": s.knots_u.degree,
+                    "values": s.knots_u.knots.tolist()},
+        "knots_v": {"style": s.knots_v.style, "degree": s.knots_v.degree,
+                    "values": s.knots_v.knots.tolist()},
+        "closed_v": bool(s.closed_v),
+        "control_net": s.control_net.tolist(),
+        "provenance": surface_file.provenance,
+    }
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
+_coords = st.one_of(
+    st.sampled_from(SPECIAL_FLOATS + (1e300, -1e-320, 123456789.0)),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-10**6, 10**6).map(float),
+)
+_json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(-10**20, 10**20),
+    st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=8),
+)
+_provenance = st.dictionaries(
+    st.text(max_size=8),
+    st.recursive(
+        _json_leaves,
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        max_leaves=8,
+    ),
+    max_size=5,
+)
+
+
+def _domain(draw, max_interior):
+    inner = draw(st.lists(st.integers(1, 999), max_size=max_interior, unique=True))
+    return [0.0] + sorted(k / 1000 for k in inner) + [1.0]
+
+
+@st.composite
+def surface_files(draw):
+    pu, pv = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    closed = draw(st.booleans())
+    ku = sc.clamped_knot_vector(_domain(draw, 3), pu)
+    kv = (sc.cyclic_knot_vector if closed else sc.clamped_knot_vector)(_domain(draw, 4), pv)
+    cols = kv.n_basis - (pv if closed else 0)
+    flat = draw(st.lists(_coords, min_size=ku.n_basis * cols * 3, max_size=ku.n_basis * cols * 3))
+    net = np.asarray(flat).reshape(ku.n_basis, cols, 3)
+    surface = sc.BSplineSurface(pu, pv, ku, kv, net, closed_v=draw(st.booleans()))
+    return cli_io.SurfaceFile(surface, draw(_provenance))
+
+
+@settings(deadline=None, max_examples=150)
+@given(surface_files())
+def test_serialize_surface_matches_json_layout(sf):
+    assert cli_io.serialize_surface(sf) == _json_oracle(sf)
+
+
+@settings(deadline=None, max_examples=100)
+@given(surface_files())
+def test_surface_roundtrip_bit_exact_property(sf):
+    back = cli_io.parse_surface(cli_io.serialize_surface(sf))
+    assert back == sf
+    for a, b in ((back.surface.control_net, sf.surface.control_net),
+                 (back.surface.knots_u.knots, sf.surface.knots_u.knots),
+                 (back.surface.knots_v.knots, sf.surface.knots_v.knots)):
+        assert a.tobytes() == b.tobytes()  # keeps the sign of -0.0
+
+
+def test_serialize_surface_non_finite_knots_as_json():
+    # cyclic extension knots are not checked for finiteness; json writes NaN
+    kv = sc.cyclic_knot_vector([0, 0.5, 1], 2)
+    knots = kv.knots.copy()
+    knots[0] = np.nan
+    odd = sc.KnotVector(knots, 2, "cyclic")
+    ku = sc.clamped_knot_vector([0, 1], 1)
+    sf = cli_io.SurfaceFile(sc.BSplineSurface(1, 2, ku, odd, np.zeros((2, 2, 3))), {})
+    assert cli_io.serialize_surface(sf) == _json_oracle(sf)
+
+
+def _obj_oracle(surface, samples_u, samples_v):
+    """OBJ text written one vertex and one face at a time."""
+    su, sv = int(samples_u), int(samples_v)
+    us = np.linspace(0.0, 1.0, su)
+    closed = surface.closed_v
+    vs = (np.arange(sv) / sv) if closed else np.linspace(0.0, 1.0, sv)
+    uu, vv = [a.ravel() for a in np.meshgrid(us, vs, indexing="ij")]
+    pts = sc.eval_surface(surface, uu, vv).reshape(su, sv, 3)
+    lines = [f"# closedloft surface mesh {su}x{sv}" + (" (v-seam stitched)" if closed else "")]
+    for i in range(su):
+        for j in range(sv):
+            x, y, z = (float(c) for c in pts[i, j])
+            lines.append(f"v {x!r} {y!r} {z!r}")
+
+    def vid(i, j):
+        return i * sv + (j % sv) + 1
+
+    jmax = sv if closed else sv - 1
+    for i in range(su - 1):
+        for j in range(jmax):
+            lines.append(f"f {vid(i, j)} {vid(i + 1, j)} {vid(i + 1, j + 1)} {vid(i, j + 1)}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(deadline=None, max_examples=60)
+@given(surface_files(), st.integers(2, 7), st.integers(2, 7))
+def test_export_obj_matches_vertex_loop(sf, su, sv):
+    s = sf.surface
+    # a cyclic net needs at least degree_v columns to wrap for evaluation
+    assume(s.knots_v.style == "clamped" or s.control_net.shape[1] >= s.degree_v)
+    # a finite net of moderate size, so the evaluation stays finite
+    net = np.nan_to_num(np.clip(s.control_net, -1e100, 1e100))
+    s = sc.BSplineSurface(s.degree_u, s.degree_v, s.knots_u, s.knots_v, net, closed_v=s.closed_v)
+    assert cli_io.export_obj(s, su, sv) == _obj_oracle(s, su, sv)
+
+
 # --- CLI: loft ---
 
 def test_cmd_loft_piegl(tmp_path):
@@ -186,6 +358,43 @@ def test_cmd_loft_park_zero_weights_usage_error(tmp_path):
         )
         assert code == 64
         assert "positive alpha or beta" in err
+
+
+@pytest.mark.parametrize("flag", ["--alpha", "--beta"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_cmd_loft_non_finite_weights_usage_error(tmp_path, flag, value):
+    inp = _tube_file(tmp_path, m1=5)
+    out = tmp_path / "w.json"
+    code, _, err = _run(
+        ["loft", "--input", inp, "--method", "park", f"{flag}={value}", "--output", str(out)]
+    )
+    assert code == 64
+    assert "alpha and beta must be finite" in err
+    assert not out.exists()
+
+
+def test_cmd_loft_park_degree_v1_drops_bend_weight(tmp_path):
+    inp = _tube_file(tmp_path, m1=5)
+    for per in ("0", "1"):
+        out = str(tmp_path / f"lin{per}.json")
+        code, _, err = _run(
+            ["loft", "--input", inp, "--method", "park", "--degree-v", "1", "--per", per,
+             "--output", out]
+        )
+        assert code == 0, err
+        sf = cli_io.parse_surface(open(out).read())
+        assert sf.surface.degree_v == 1
+        assert (sf.provenance["alpha"], sf.provenance["beta"]) == (1.0, 0.0)
+
+
+def test_cmd_loft_park_degree_v1_without_alpha_usage_error(tmp_path):
+    inp = _tube_file(tmp_path, m1=5)
+    code, _, err = _run(
+        ["loft", "--input", inp, "--method", "park", "--degree-v", "1", "--alpha", "0",
+         "--output", str(tmp_path / "z.json")]
+    )
+    assert code == 64
+    assert "positive alpha or beta" in err and "no effect at --degree-v 1" in err
 
 
 def test_cmd_loft_park_equals_piegl_on_equal_rows(tmp_path):

@@ -206,6 +206,16 @@ def test_stiffness_matches_independent_quadrature_cyclic():
     assert np.abs(k - oracle).max() <= 1e-8 * np.abs(oracle).max()
 
 
+@pytest.mark.parametrize(
+    "alpha, beta",
+    [(np.nan, 0.2), (1.0, np.nan), (np.inf, 0.2), (1.0, np.inf), (-np.inf, 0.2), (1.0, -np.inf)],
+)
+def test_stiffness_rejects_non_finite_weights(alpha, beta):
+    kv = sc.clamped_knot_vector([0, 0.5, 1], 3)
+    with pytest.raises(InvalidInputError, match="must be finite"):
+        la.stiffness_matrix(kv, alpha, beta)
+
+
 def test_stiffness_rejects_bend_on_linear():
     kv = sc.clamped_knot_vector([0, 0.5, 1], 1)
     with pytest.raises(InvalidInputError):

@@ -167,6 +167,17 @@ def test_park_loft_tube_residual():
     assert _seam_error(result.surface, 2) < 1e-6
 
 
+def test_park_degree_v1_ignores_bend_weight():
+    rows = tube_rows(6, seed=3)
+    assert lf.park_bend_weight(1, 0.2) == 0.0
+    assert lf.park_bend_weight(2, 0.2) == 0.2
+    result = lf.loft_closed_park(rows, 3, 1, 1.0, alpha=1.0, beta=0.2)
+    plain = lf.loft_closed_park(rows, 3, 1, 1.0, alpha=1.0, beta=0.0)
+    assert result.surface.degree_v == 1
+    assert result.max_surface_residual <= 1e-6 * sc.bbox_diagonal(np.vstack(rows))
+    np.testing.assert_array_equal(result.surface.control_net, plain.surface.control_net)
+
+
 def test_stacked_circles_surface_of_revolution():
     rows = [circle_points(16, z=0.25 * i) for i in range(8)]
     result = lf.loft_closed_piegl(rows, 3, 3, 1.0)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -380,3 +382,153 @@ def test_merge_commutative_associative(rng):
 def test_merge_degree_mismatch():
     with pytest.raises(InvalidInputError):
         sc.merge_knot_vectors(_kv([0, 0, 1, 1], 1), _kv([0, 0, 0, 1, 1, 1], 2))
+
+
+# --- knot multisets against the sequential loops ---
+#
+# The loops below are the knot-by-knot implementations the vectorized helpers
+# replaced; the helpers must give the same values, counts and knot vectors.
+
+def _loop_multiplicities(knots, tol=sc.KNOT_TOL):
+    values, counts = [], []
+    for x in np.asarray(knots, dtype=float):
+        if values and x - values[-1] <= tol:
+            counts[-1] += 1
+        else:
+            values.append(float(x))
+            counts.append(1)
+    return values, counts
+
+
+def _loop_merge_multisets(va, ca, vb, cb, tol=sc.KNOT_TOL):
+    out_v, out_c = [], []
+    i = j = 0
+    while i < len(va) or j < len(vb):
+        if j >= len(vb) or (i < len(va) and va[i] < vb[j] - tol):
+            out_v.append(va[i]); out_c.append(ca[i]); i += 1
+        elif i >= len(va) or vb[j] < va[i] - tol:
+            out_v.append(vb[j]); out_c.append(cb[j]); j += 1
+        else:
+            out_v.append(min(va[i], vb[j])); out_c.append(max(ca[i], cb[j]))
+            i += 1; j += 1
+    return out_v, out_c
+
+
+def _loop_merge_knot_vectors(a, b):
+    va, ca = _loop_multiplicities(a.knots)
+    vb, cb = _loop_multiplicities(b.knots)
+    out_v, out_c = _loop_merge_multisets(va, ca, vb, cb)
+    return sc.KnotVector(np.repeat(out_v, out_c), a.degree, "clamped")
+
+
+def _loop_merge_domain_knots(a, b, tol=sc.KNOT_TOL):
+    va = [float(x) for x in np.asarray(a, dtype=float)]
+    vb = [float(x) for x in np.asarray(b, dtype=float)]
+    out_v, _ = _loop_merge_multisets(va, [1] * len(va), vb, [1] * len(vb), tol)
+    return np.asarray(out_v)
+
+
+def _loop_missing_knots(target, base, tol=sc.KNOT_TOL):
+    vt, ct = _loop_multiplicities(target.knots, tol)
+    vb, cb = _loop_multiplicities(base.knots, tol)
+    out = []
+    j = 0
+    for v, c in zip(vt, ct):
+        while j < len(vb) and vb[j] < v - tol:
+            j += 1
+        have = cb[j] if j < len(vb) and abs(vb[j] - v) <= tol else 0
+        out.extend([v] * max(0, c - have))
+    return np.asarray(out)
+
+
+_TOL_STEPS = tuple(f * sc.KNOT_TOL for f in (0.0, 0.3, 0.5, 0.9, 1.0, 1.1, 2.0))
+
+
+@st.composite
+def knot_runs(draw, lo=0.0, hi=1.0, strict=False):
+    """Sorted knots in (lo, hi): runs that start on a coarse grid (shared by
+    independent draws, so two draws collide) and climb by steps of 0, 0.3,
+    0.5, 0.9, 1.0, 1.1 or 2 times KNOT_TOL, so chains of close knots can
+    span more than KNOT_TOL and a knot can lie within tolerance of two
+    neighbours.  ``strict`` drops repeated values."""
+    out = []
+    for g in draw(st.lists(st.integers(1, 15), max_size=6, unique=True)):
+        x = lo + (hi - lo) * g / 16 + draw(st.sampled_from(_TOL_STEPS))
+        for step in draw(st.lists(st.sampled_from(_TOL_STEPS), max_size=5)):
+            out.append(x)
+            x += step
+        out.append(x)
+    out = np.sort(np.asarray(out, dtype=float))
+    return np.unique(out) if strict else out
+
+
+@st.composite
+def clamped_vectors(draw, p):
+    """Clamped knot vectors whose interior may crowd the ends within KNOT_TOL."""
+    interior = draw(knot_runs())
+    near_ends = draw(st.lists(st.sampled_from(_TOL_STEPS[1:4]), max_size=2))
+    interior = np.sort(np.concatenate([interior, near_ends, [1.0 - e for e in near_ends]]))
+    interior = interior[(interior > 0.0) & (interior < 1.0)]
+    return sc.KnotVector(np.concatenate([np.zeros(p + 1), interior, np.ones(p + 1)]), p, "clamped")
+
+
+def _same_multiset(got, want):
+    assert got[0] == want[0] and got[1] == want[1]
+    assert all(type(v) is float for v in got[0]) and all(type(c) is int for c in got[1])
+
+
+@settings(deadline=None, max_examples=300)
+@given(knot_runs())
+def test_knot_multiplicities_match_loop(knots):
+    _same_multiset(sc.knot_multiplicities(knots), _loop_multiplicities(knots))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(1, 5).flatmap(lambda p: st.tuples(clamped_vectors(p), clamped_vectors(p))))
+def test_merge_knot_vectors_and_missing_knots_match_loops(pair):
+    a, b = pair
+    try:
+        want = _loop_merge_knot_vectors(a, b)
+    except InvalidInputError as exc:
+        # an end group that absorbs a near-end knot takes it as its value
+        with pytest.raises(InvalidInputError, match=re.escape(str(exc))):
+            sc.merge_knot_vectors(a, b)
+        merged = a
+    else:
+        merged = sc.merge_knot_vectors(a, b)
+        assert merged == want and merged.knots.tobytes() == want.knots.tobytes()
+    for target, base in ((a, b), (b, a), (merged, a), (a, merged)):
+        got, want = sc.missing_knots(target, base), _loop_missing_knots(target, base)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@settings(deadline=None, max_examples=300)
+@given(knot_runs(strict=True), knot_runs(strict=True))
+def test_merge_domain_knots_matches_loop(a, b):
+    for x, y in ((a, b), (b, a), (a, a)):
+        got, want = sc.merge_domain_knots(x, y), _loop_merge_domain_knots(x, y)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "knots",
+    [[], [0.0], [0.0, 0.0, 1.0, 1.0], [0.5, 0.5 + 0.6e-10, 0.5 + 1.2e-10, 0.5 + 1.8e-10],
+     [0.5, 0.5 + 0.9e-10, 0.5 + 1.8e-10, 0.5 + 2.7e-10, 0.5 + 2.8e-10]],
+)
+def test_knot_multiplicities_edge_cases(knots):
+    _same_multiset(sc.knot_multiplicities(knots), _loop_multiplicities(knots))
+
+
+def test_merge_domain_knots_with_empty_and_end_only():
+    ends = np.array([0.0, 1.0])
+    for a, b in ((np.zeros(0), ends), (ends, np.zeros(0)), (ends, ends), (np.zeros(0), np.zeros(0))):
+        got, want = sc.merge_domain_knots(a, b), _loop_merge_domain_knots(a, b)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_knot_between_two_neighbours_pairs_with_the_first():
+    t = sc.KNOT_TOL
+    a = np.array([0.5, 0.5 + 1.1 * t])
+    b = np.array([0.5 + 0.6 * t])  # within tol of both knots of a
+    np.testing.assert_array_equal(sc.merge_domain_knots(a, b), _loop_merge_domain_knots(a, b))
+    np.testing.assert_array_equal(sc.merge_domain_knots(a, b), a)
