@@ -106,6 +106,63 @@ def _py_ders_basis_funs(knots, degree, span, u, order):
     return ders
 
 
+def batch_ders_basis_funs(knots, degree, spans, us, order):
+    """:func:`ders_basis_funs` at many parameters at once, as numpy array code.
+
+    ``spans[m]`` is the knot span of ``us[m]``.  Returns an array of shape
+    (order+1, degree+1, len(us)); slice ``[..., m]`` is bit for bit what
+    ``ders_basis_funs(knots, degree, spans[m], us[m], order)`` returns, since
+    the recurrences below are the same with the parameters as the last axis.
+    Not compiled by numba: the loops run over the degree, not the parameters.
+    """
+    p = degree
+    m = us.shape[0]
+    ndu = np.empty((p + 1, p + 1, m))
+    left = np.empty((p + 1, m))
+    right = np.empty((p + 1, m))
+    ndu[0, 0] = 1.0
+    for j in range(1, p + 1):
+        left[j] = us - knots[spans + 1 - j]
+        right[j] = knots[spans + j] - us
+        saved = np.zeros(m)
+        for r in range(j):
+            ndu[j, r] = right[r + 1] + left[j - r]
+            temp = ndu[r, j - 1] / ndu[j, r]
+            ndu[r, j] = saved + right[r + 1] * temp
+            saved = left[j - r] * temp
+        ndu[j, j] = saved
+
+    ders = np.zeros((order + 1, p + 1, m))
+    ders[0] = ndu[:, p]
+    a = np.empty((2, p + 1, m))
+    for r in range(p + 1):
+        s1, s2 = 0, 1
+        a[0, 0] = 1.0
+        for k in range(1, order + 1):
+            d = np.zeros(m)
+            rk = r - k
+            pk = p - k
+            if r >= k:
+                a[s2, 0] = a[s1, 0] / ndu[pk + 1, rk]
+                d = a[s2, 0] * ndu[rk, pk]
+            j1 = 1 if rk >= -1 else -rk
+            j2 = k - 1 if r - 1 <= pk else p - r
+            for j in range(j1, j2 + 1):
+                a[s2, j] = (a[s1, j] - a[s1, j - 1]) / ndu[pk + 1, rk + j]
+                d += a[s2, j] * ndu[rk + j, pk]
+            if r <= pk:
+                a[s2, k] = -a[s1, k - 1] / ndu[pk + 1, r]
+                d += a[s2, k] * ndu[r, pk]
+            ders[k, r] = d
+            s1, s2 = s2, s1
+
+    fac = float(p)
+    for k in range(1, order + 1):
+        ders[k] *= fac
+        fac *= p - k
+    return ders
+
+
 def _py_collocation_matrix(knots, degree, n_basis, params):
     out = np.zeros((params.shape[0], n_basis))
     for i in range(params.shape[0]):

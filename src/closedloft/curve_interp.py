@@ -34,6 +34,7 @@ from .param_knots import (
     shift_parameters,
 )
 from .spline_core import (
+    CYCLIC,
     BSplineCurve,
     KnotVector,
     as_points,
@@ -162,8 +163,24 @@ def _closed_condition(problem, warn):
     return check_conjecture1(problem.params, problem.domain_knots, problem.degree)
 
 
-def interpolate_closed_square(problem, check_condition=True):
-    """Square closed interpolation (as many distinct controls as points)."""
+def _cyclic_knots(problem, kv):
+    """The cyclic knot vector of the problem's domain knots: ``kv`` when the
+    caller built it already (after checking it is that vector), else a new one."""
+    if kv is None:
+        return cyclic_knot_vector(problem.domain_knots, problem.degree)
+    if kv.degree != problem.degree or kv.style != CYCLIC or not np.array_equal(
+        kv.domain_knots, problem.domain_knots
+    ):
+        raise InvalidInputError("knot vector is not the cyclic vector of the problem's domain knots")
+    return kv
+
+
+def interpolate_closed_square(problem, check_condition=True, kv=None):
+    """Square closed interpolation (as many distinct controls as points).
+
+    ``kv``, if given, must be the cyclic knot vector of the problem's domain
+    knots; callers solving many rows on one vector pass it to build it once.
+    """
     if problem.nhat != problem.n:
         raise InvalidInputError("square closed interpolation requires nhat == n")
     p = problem.degree
@@ -175,7 +192,7 @@ def interpolate_closed_square(problem, check_condition=True):
             RuntimeWarning,
             stacklevel=2,
         )
-    kv = cyclic_knot_vector(problem.domain_knots, p)
+    kv = _cyclic_knots(problem, kv)
     matrix, _ = assemble_closed_system(problem.params, kv, problem.nhat)
     rhs = stack_closed_rhs(problem.points, p)
     try:
@@ -189,12 +206,15 @@ def interpolate_closed_square(problem, check_condition=True):
     return _finish_closed(problem, kv, matrix, expanded, verdict)
 
 
-def interpolate_closed_energy(problem, alpha=1.0, beta=0.2):
+def interpolate_closed_energy(problem, alpha=1.0, beta=0.2, kv=None, stiff=None):
     """Under-determined closed interpolation by constrained energy minimization.
 
     Refuses to run when no subsequence of the domain knots satisfies the
     square condition, since full rank of the constraint block is then not
-    guaranteed.
+    guaranteed.  Rows lofted on one set of domain knots share the knot
+    vector and the stiffness matrix: ``kv`` must then be the cyclic knot
+    vector of the domain knots and ``stiff`` its ``stiffness_matrix(kv,
+    alpha, beta)``; either is built here when not given.
     """
     p = problem.degree
     if not problem.parity_ok:
@@ -208,9 +228,12 @@ def interpolate_closed_energy(problem, alpha=1.0, beta=0.2):
             "no subsequence of the domain knots satisfies the closed "
             "interpolation condition; full rank is not guaranteed"
         )
-    kv = cyclic_knot_vector(problem.domain_knots, p)
+    kv = _cyclic_knots(problem, kv)
     matrix, _ = assemble_closed_system(problem.params, kv, problem.nhat)
-    stiff = stiffness_matrix(kv, alpha, beta)
+    if stiff is None:
+        stiff = stiffness_matrix(kv, alpha, beta)
+    elif np.shape(stiff) != (kv.n_basis, kv.n_basis):
+        raise InvalidInputError("stiffness matrix does not match the knot vector")
     rhs = stack_closed_rhs(problem.points, p)
     expanded, _mults = solve_kkt(stiff, matrix, rhs)
     return _finish_closed(problem, kv, matrix, expanded, True)

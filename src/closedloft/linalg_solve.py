@@ -2,8 +2,11 @@
 Gauss quadrature, KKT saddle-point solves, and rank diagnostics.
 
 Dense factorizations are delegated to LAPACK (scipy/numpy); the no-pivot
-banded elimination and all assembly code live here.  Sizes are desk scale
-(a few hundred unknowns), so everything is dense row-major.
+banded elimination and all assembly code live here.  Collocation systems
+are dense row-major.  Stiffness matrices and KKT systems, which reach a few
+thousand unknowns when rows share many domain knots, are sparse and are
+factored by SuperLU; ``scipy.sparse`` is imported by the functions that use
+it, so importing the package does not load it.
 """
 
 import warnings
@@ -174,9 +177,16 @@ def stiffness_matrix(kv, alpha=1.0, beta=0.2):
 
     Uses (p+1)-point Gauss-Legendre per distinct knot span, which integrates
     the piecewise-polynomial integrands (degree <= 2p-2) exactly.  For a
-    cyclic knot vector the integral covers one period only.  The result is
-    exactly symmetric and banded with bandwidth 2p+1.
+    cyclic knot vector the integral covers one period only.  The result is a
+    ``scipy.sparse.csr_array``, exactly symmetric and banded with bandwidth
+    2p+1.
+
+    All Gauss nodes are evaluated in one batch; the node terms are summed
+    into band storage in node order, α term before β term, so every entry is
+    the same floating-point sum a node-by-node loop gives.
     """
+    import scipy.sparse  # here, not at the top: `import closedloft` stays lean
+
     if not (np.isfinite(alpha) and np.isfinite(beta)):
         raise InvalidInputError("stretch and bend weights must be finite")
     if alpha < 0.0 or beta < 0.0:
@@ -185,26 +195,32 @@ def stiffness_matrix(kv, alpha=1.0, beta=0.2):
     if beta > 0.0 and p < 2:
         raise InvalidInputError("bend energy requires degree >= 2")
     nb = kv.n_basis
-    stiff = np.zeros((nb, nb))
     if alpha == 0.0 and beta == 0.0:
-        return stiff
-    order = 2 if beta > 0.0 else 1
+        return scipy.sparse.csr_array((nb, nb))
     nodes, weights = np.polynomial.legendre.leggauss(p + 1)
     d = kv.domain_knots
-    for a, b in zip(d[:-1], d[1:]):
-        if b - a <= 0.0:
-            continue
-        mid, half = (a + b) / 2.0, (b - a) / 2.0
-        for x, w in zip(nodes, weights):
-            u = mid + half * x
-            span = int(_kernels.find_span(kv.knots, p, u))
-            ders = _kernels.ders_basis_funs(kv.knots, p, span, u, order)
-            sl = slice(span - p, span + 1)
-            if alpha > 0.0:
-                stiff[sl, sl] += (alpha * w * half) * np.outer(ders[1], ders[1])
-            if beta > 0.0:
-                stiff[sl, sl] += (beta * w * half) * np.outer(ders[2], ders[2])
-    return stiff
+    live = np.flatnonzero(d[1:] > d[:-1])
+    mid, half = (d[live] + d[live + 1]) / 2.0, (d[live + 1] - d[live]) / 2.0
+    us = (mid[:, None] + half[:, None] * nodes).ravel()
+    spans = np.repeat(live + p, p + 1)
+    half_n = np.repeat(half, p + 1)
+    w_n = np.tile(weights, live.size)
+    ders = _kernels.batch_ders_basis_funs(kv.knots, p, spans, us, 2 if beta > 0.0 else 1)
+    # node-major: the α then the β term of node 0, then of node 1, ...;
+    # bincount adds in input order, starting from 0.0
+    vals = np.stack([
+        (weight * w_n * half_n)[:, None, None] * (ders[k].T[:, :, None] * ders[k].T[:, None, :])
+        for k, weight in ((1, alpha), (2, beta)) if weight > 0.0
+    ], axis=1)
+    local = np.arange(p + 1)
+    # band storage: entry (i, j) of the matrix at flat index i*(2p+1) + j-i+p
+    at = (spans - p)[:, None, None] * (2 * p + 1) + local[:, None] * (2 * p) + local + p
+    at = np.broadcast_to(at[:, None], vals.shape)
+    band = np.bincount(at.ravel(), weights=vals.ravel(), minlength=nb * (2 * p + 1))
+    r = np.repeat(np.arange(nb), 2 * p + 1)
+    c = r + np.tile(np.arange(-p, p + 1), nb)
+    keep = (band != 0.0) & (c >= 0) & (c < nb)
+    return scipy.sparse.csr_array((band[keep], (r[keep], c[keep])), shape=(nb, nb))
 
 
 def curve_energy(stiff, controls):
@@ -216,32 +232,54 @@ def curve_energy(stiff, controls):
 def solve_kkt(stiff, constraints, rhs):
     """Minimize PᵀKP subject to C P = rhs via the Lagrange saddle system.
 
-    Returns ``(P, multipliers)``; rhs may have several columns (one per
-    coordinate).
+    The saddle matrix [[K, Cᵀ], [C, 0]] is assembled sparse, scaled on both
+    sides by D = diag(1/√(max_j |a_ij|)) and factored by SuperLU.  The bend
+    term grows like 1/h³ on short spans while C holds basis values below 1,
+    so the unscaled matrix can be far worse conditioned than the problem.
+    ``stiff`` may be dense or sparse.  Returns ``(P, multipliers)``; rhs may
+    have several columns (one per coordinate).
     """
-    k = np.asarray(stiff, dtype=float)
+    import scipy.sparse  # here, not at the top: `import closedloft` stays lean
+    import scipy.sparse.linalg
+
+    k = scipy.sparse.coo_array(stiff, dtype=float)
+    k.sum_duplicates()
     c = np.asarray(constraints, dtype=float)
     r = np.asarray(rhs, dtype=float)
     nb = k.shape[0]
     nc = c.shape[0]
-    if k.shape != (nb, nb) or c.shape[1] != nb or r.shape[0] != nc:
+    if k.shape != (nb, nb) or c.ndim != 2 or c.shape[1] != nb or r.shape[0] != nc:
         raise InvalidInputError("inconsistent KKT block dimensions")
-    kkt = np.zeros((nb + nc, nb + nc))
-    kkt[:nb, :nb] = k
-    kkt[:nb, nb:] = c.T
-    kkt[nb:, :nb] = c
-    full_rhs = np.vstack([np.zeros((nb,) + r.shape[1:]), r])
-    try:
-        sol = solve_dense(kkt, full_rhs)
-    except SingularSystemError as exc:
+    n = nb + nc
+    ci, cj = np.nonzero(c)
+    cv = c[ci, cj]
+    rows = np.concatenate([k.row, ci + nb, cj])
+    cols = np.concatenate([k.col, cj, ci + nb])
+    vals = np.concatenate([k.data, cv, cv])
+    row_max = np.zeros(n)
+    np.maximum.at(row_max, rows, np.abs(vals))
+    sol = None
+    if row_max.min() > 0.0:
+        d = 1.0 / np.sqrt(row_max)
+        scaled = scipy.sparse.csc_array((vals * d[rows] * d[cols], (rows, cols)), shape=(n, n))
+        try:
+            lu = scipy.sparse.linalg.splu(scaled)
+        except RuntimeError:  # SuperLU stops at an exactly zero pivot
+            lu = None
+        if lu is not None and np.abs(lu.U.diagonal()).min() > PIVOT_TOL * np.abs(scaled.data).max():
+            dr = d.reshape((n,) + (1,) * (r.ndim - 1))
+            full_rhs = np.concatenate([np.zeros((nb,) + r.shape[1:]), r])
+            sol = dr * lu.solve(dr * full_rhs)
+    if sol is None:
         c_report = rank_report(c)
         if c_report.rank < nc:
             raise SingularSystemError(
                 f"constraint block is rank-deficient (rank {c_report.rank} of {nc})",
                 rank_report=c_report,
-            ) from exc
+            )
+        dense = scipy.sparse.coo_array((vals, (rows, cols)), shape=(n, n)).toarray()
         raise SingularSystemError(
             "KKT matrix is singular (stiffness block degenerate on the feasible set)",
-            rank_report=exc.rank_report,
-        ) from exc
+            rank_report=rank_report(dense),
+        )
     return sol[:nb], sol[nb:]

@@ -261,10 +261,12 @@ class BSplineCurve:
             raise InvalidInputError(f"unknown curve kind {self.kind!r}")
 
     def expanded_controls(self):
-        """Solver storage: distinct controls followed by a copy of the first p."""
+        """Solver storage: the distinct controls followed by p more, taken
+        cyclically from the start (the first p when there are that many)."""
         if self.kind == "open":
             return self.control_points
-        return np.vstack([self.control_points, self.control_points[: self.degree]])
+        n = self.n_distinct
+        return self.control_points[np.arange(n + self.degree) % n]
 
     @property
     def n_distinct(self):
@@ -352,10 +354,11 @@ class BSplineSurface:
             )
 
     def expanded_net(self):
+        """The net with the distinct columns followed by degree_v more, taken
+        cyclically from the first (see :meth:`BSplineCurve.expanded_controls`)."""
         if self.knots_v.style == CYCLIC:
-            return np.concatenate(
-                [self.control_net, self.control_net[:, : self.degree_v]], axis=1
-            )
+            cols = self.control_net.shape[1]
+            return self.control_net[:, np.arange(cols + self.degree_v) % cols]
         return self.control_net
 
     @property

@@ -252,7 +252,7 @@ def test_criterion_9_stiffness_oracle():
     ok = True
     details = []
     for name, kv in (("clamped", clamped), ("cyclic", cyclic)):
-        assembled = la.stiffness_matrix(kv, 1.0, 0.2)
+        assembled = la.stiffness_matrix(kv, 1.0, 0.2).toarray()
         oracle = _oracle_stiffness(kv, 1.0, 0.2)
         rel = np.abs(assembled - oracle).max() / np.abs(oracle).max()
         symmetric = np.abs(assembled - assembled.T).max() == 0.0

@@ -1,9 +1,16 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
+import scipy.sparse
 from scipy.interpolate import BSpline
 
+import closedloft
+from closedloft import _kernels
 from closedloft import linalg_solve as la
 from closedloft import param_knots as pk
 from closedloft import spline_core as sc
@@ -165,14 +172,80 @@ def _oracle_stiffness(kv, alpha, beta):
     return out
 
 
+def _loop_stiffness(kv, alpha, beta):
+    """The node-by-node assembly the batched one replaced: one span lookup,
+    one derivative evaluation and one outer product per Gauss node."""
+    p = kv.degree
+    stiff = np.zeros((kv.n_basis, kv.n_basis))
+    if alpha == 0.0 and beta == 0.0:
+        return stiff
+    order = 2 if beta > 0.0 else 1
+    nodes, weights = np.polynomial.legendre.leggauss(p + 1)
+    d = kv.domain_knots
+    for a, b in zip(d[:-1], d[1:]):
+        if b - a <= 0.0:
+            continue
+        mid, half = (a + b) / 2.0, (b - a) / 2.0
+        for x, w in zip(nodes, weights):
+            u = mid + half * x
+            span = int(_kernels.find_span(kv.knots, p, u))
+            ders = _kernels.ders_basis_funs(kv.knots, p, span, u, order)
+            sl = slice(span - p, span + 1)
+            if alpha > 0.0:
+                stiff[sl, sl] += (alpha * w * half) * np.outer(ders[1], ders[1])
+            if beta > 0.0:
+                stiff[sl, sl] += (beta * w * half) * np.outer(ders[2], ders[2])
+    return stiff
+
+
+def _repeated_knot_vector(rng, degree, cyclic):
+    domain = np.concatenate([[0.0], np.sort(rng.uniform(0.02, 0.98, 7)), [1.0]])
+    if cyclic:
+        return sc.cyclic_knot_vector(domain, degree)
+    # clamped, with interior knots of multiplicity 2 and degree
+    inner = np.concatenate([domain[1:-1], domain[2:3], np.repeat(domain[4], degree - 1)])
+    knots = np.concatenate([np.zeros(degree + 1), np.sort(inner), np.ones(degree + 1)])
+    return sc.KnotVector(knots, degree, "clamped")
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4, 5])
+@pytest.mark.parametrize("cyclic", [True, False])
+@pytest.mark.parametrize("alpha, beta", [(1.0, 0.2), (0.0, 0.7), (1.5, 0.0)])
+def test_stiffness_equals_node_loop(rng, degree, cyclic, alpha, beta):
+    kv = _repeated_knot_vector(rng, degree, cyclic)
+    k = la.stiffness_matrix(kv, alpha, beta)
+    assert scipy.sparse.issparse(k)
+    np.testing.assert_array_equal(k.toarray(), _loop_stiffness(kv, alpha, beta))
+
+
+def test_stiffness_equals_node_loop_linear(rng):
+    kv = _repeated_knot_vector(rng, 1, True)
+    np.testing.assert_array_equal(
+        la.stiffness_matrix(kv, 2.0, 0.0).toarray(), _loop_stiffness(kv, 2.0, 0.0)
+    )
+
+
+def test_batch_ders_basis_funs_equal_scalar_kernel(rng):
+    for degree in range(1, 6):
+        kv = _repeated_knot_vector(rng, degree, False)
+        us = rng.uniform(0.0, 1.0, 40)
+        spans = np.array([_kernels.find_span(kv.knots, degree, u) for u in us])
+        for order in range(degree + 1):
+            batch = _kernels.batch_ders_basis_funs(kv.knots, degree, spans, us, order)
+            for m, (span, u) in enumerate(zip(spans, us)):
+                np.testing.assert_array_equal(
+                    batch[..., m], _kernels.ders_basis_funs(kv.knots, degree, span, u, order)
+                )
+
+
 def test_stiffness_zero_weights():
     kv = sc.clamped_knot_vector([0, 0.5, 1], 3)
-    np.testing.assert_array_equal(la.stiffness_matrix(kv, 0.0, 0.0), 0.0)
+    np.testing.assert_array_equal(la.stiffness_matrix(kv, 0.0, 0.0).toarray(), 0.0)
 
 
 def test_stiffness_symmetry_exact(rng):
     kv = sc.cyclic_knot_vector(np.concatenate([[0], np.sort(rng.uniform(0.1, 0.9, 6)), [1]]), 3)
-    k = la.stiffness_matrix(kv, 1.0, 0.2)
+    k = la.stiffness_matrix(kv, 1.0, 0.2).toarray()
     assert np.abs(k - k.T).max() == 0.0
 
 
@@ -181,27 +254,27 @@ def test_stiffness_bandwidth_structure(rng):
         kv = sc.cyclic_knot_vector(
             np.concatenate([[0], np.sort(rng.uniform(0.05, 0.95, 8)), [1]]), degree
         )
-        k = la.stiffness_matrix(kv, 1.0, 0.2)
+        k = la.stiffness_matrix(kv, 1.0, 0.2).toarray()
         assert la.semi_bandwidth(k) <= degree  # bandwidth 2p+1
 
 
 def test_stiffness_positive_semidefinite(rng):
     kv = sc.clamped_knot_vector(np.concatenate([[0], np.sort(rng.uniform(0.1, 0.9, 5)), [1]]), 3)
-    k = la.stiffness_matrix(kv, 1.0, 0.2)
+    k = la.stiffness_matrix(kv, 1.0, 0.2).toarray()
     eigs = np.linalg.eigvalsh(k)
     assert eigs.min() > -1e-10 * max(eigs.max(), 1.0)
 
 
 def test_stiffness_matches_independent_quadrature_clamped():
     kv = sc.clamped_knot_vector([0, 0.22, 0.5, 0.61, 1], 3)
-    k = la.stiffness_matrix(kv, 1.0, 0.2)
+    k = la.stiffness_matrix(kv, 1.0, 0.2).toarray()
     oracle = _oracle_stiffness(kv, 1.0, 0.2)
     assert np.abs(k - oracle).max() <= 1e-8 * np.abs(oracle).max()
 
 
 def test_stiffness_matches_independent_quadrature_cyclic():
     kv = sc.cyclic_knot_vector([0, 0.18, 0.35, 0.52, 0.8, 1], 3)
-    k = la.stiffness_matrix(kv, 1.0, 0.2)
+    k = la.stiffness_matrix(kv, 1.0, 0.2).toarray()
     oracle = _oracle_stiffness(kv, 1.0, 0.2)
     assert np.abs(k - oracle).max() <= 1e-8 * np.abs(oracle).max()
 
@@ -260,10 +333,103 @@ def test_kkt_null_space_optimality(rng):
         assert la.curve_energy(k, p + delta) >= base - 1e-10
 
 
+@pytest.mark.parametrize("sparse", [False, True])
+def test_kkt_matches_dense_solve_on_random_systems(rng, sparse):
+    checked = 0
+    for _ in range(60):
+        nb = int(rng.integers(3, 40))
+        nc = int(rng.integers(1, nb + 1))
+        a = rng.normal(size=(nb, nb))
+        # SPD stiffness with rows scaled over four orders of magnitude
+        scale = 10.0 ** rng.uniform(-1.0, 1.0, nb)
+        k = scale[:, None] * (a @ a.T + np.eye(nb)) * scale[None, :]
+        c = rng.normal(size=(nc, nb)) * (rng.uniform(size=(nc, nb)) < 0.6)
+        c[np.arange(nc), rng.permutation(nb)[:nc]] = 1.0 + rng.uniform(size=nc)
+        if np.linalg.matrix_rank(c) < nc:
+            continue
+        rhs = rng.normal(size=(nc, 3))
+        p, mult = la.solve_kkt(scipy.sparse.csr_array(k) if sparse else k, c, rhs)
+        kkt = np.block([[k, c.T], [c, np.zeros((nc, nc))]])
+        ref = np.linalg.solve(kkt, np.vstack([np.zeros((nb, 3)), rhs]))
+        assert np.abs(np.vstack([p, mult]) - ref).max() <= 1e-7 * np.abs(ref).max()
+        assert np.abs(c @ p - rhs).max() <= 1e-7 * np.abs(rhs).max()
+        checked += 1
+    assert checked >= 40
+
+
+def test_kkt_equilibration_solves_fine_closed_systems(rng):
+    # 30 points on 2000 spans: the bend term (~1/h³) against basis values
+    # below 1 leaves the unscaled saddle matrix numerically singular
+    t = pk.ParameterValues(np.linspace(0.0, 1.0, 31)[:-1] + 0.004, shifted=True)
+    kv = sc.cyclic_knot_vector(np.linspace(0.0, 1.0, 2001), 3)
+    c, shape = la.assemble_closed_system(t, kv, 1999)
+    k = la.stiffness_matrix(kv, 1.0, 0.2)
+    rhs = np.vstack([rng.normal(size=(shape.top_rows, 3)), np.zeros((3, 3))])
+    kkt = np.block([[k.toarray(), c.T], [c, np.zeros((shape.rows, shape.rows))]])
+    with pytest.raises(SingularSystemError):
+        la.solve_dense(kkt, np.vstack([np.zeros((kv.n_basis, 3)), rhs]))
+    p, mult = la.solve_kkt(k, c, rhs)
+    assert np.abs(c @ p - rhs).max() <= 1e-9 * np.abs(rhs).max()
+    assert np.abs(k @ p + c.T @ mult).max() <= 1e-12 * abs(k).max() * np.abs(p).max()
+
+
+def test_kkt_one_dimensional_rhs():
+    p, v = la.solve_kkt(np.eye(2), np.array([[1.0, 1.0]]), np.array([2.0]))
+    np.testing.assert_allclose(p, [1.0, 1.0], atol=1e-14)
+    assert p.shape == (2,) and v.shape == (1,)
+
+
 def test_kkt_rank_deficient_constraints():
     c = np.array([[1.0, 0.0], [2.0, 0.0]])
-    with pytest.raises(SingularSystemError, match="rank-deficient"):
+    with pytest.raises(SingularSystemError, match="rank-deficient") as info:
         la.solve_kkt(np.eye(2), c, np.ones((2, 1)))
+    assert info.value.rank_report.rank == 1
+
+
+def test_kkt_rank_deficient_closed_constraints(rng):
+    # p+2 parameters in one knot span, where the basis spans only degree-p
+    # polynomials, give dependent collocation rows
+    t = pk.ParameterValues(np.array([0.01, 0.02, 0.03, 0.04, 0.05, 0.3, 0.6]), shifted=True)
+    kv = sc.cyclic_knot_vector(np.linspace(0.0, 1.0, 10), 3)
+    c, shape = la.assemble_closed_system(t, kv, 8)
+    with pytest.raises(SingularSystemError, match="rank-deficient") as info:
+        la.solve_kkt(la.stiffness_matrix(kv, 1.0, 0.2), c, rng.normal(size=(shape.rows, 3)))
+    assert info.value.rank_report.rank == shape.rows - 1
+
+
+@pytest.mark.parametrize("stiff", [
+    np.zeros((3, 3)),                          # zero rows in the saddle matrix
+    np.array([[1.0, 1.0], [1.0, 1.0]]),        # vanishes on the feasible direction (1, -1)
+])
+def test_kkt_degenerate_stiffness_raises_with_report(stiff):
+    nb = stiff.shape[0]
+    c = np.ones((1, nb))
+    with pytest.raises(SingularSystemError, match="KKT matrix is singular") as info:
+        la.solve_kkt(stiff, c, np.ones((1, 2)))
+    report = info.value.rank_report
+    assert report.singular_values.size == nb + 1 and report.rank < nb + 1
+
+
+def test_kkt_bend_only_stiffness_degenerate_on_lines():
+    # bend energy vanishes on straight lines; one interpolated point leaves a
+    # line through it free
+    kv = sc.clamped_knot_vector([0, 0.3, 0.6, 1], 3)
+    c = sc.basis_functions(kv, 0.4)[None, :]
+    with pytest.raises(SingularSystemError, match="KKT matrix is singular") as info:
+        la.solve_kkt(la.stiffness_matrix(kv, 0.0, 1.0), c, np.ones((1, 3)))
+    assert info.value.rank_report.rank < kv.n_basis + 1
+
+
+def test_import_loads_no_scipy_sparse():
+    # scipy.sparse costs tens of milliseconds of every CLI start; it is
+    # imported by the functions that use it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(closedloft.__file__)))
+    code = "import sys, closedloft; print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 # --- rank report ---

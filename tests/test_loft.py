@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from closedloft import curve_interp as ci
 from closedloft import linalg_solve as la
 from closedloft import loft as lf
 from closedloft import param_knots as pk
@@ -247,6 +248,83 @@ def test_loft_even_contour_degree():
         scale = sc.bbox_diagonal(np.vstack(rows))
         assert result.max_surface_residual <= 1e-6 * scale
         assert _seam_error(result.surface, 3) < 1e-6
+
+
+def test_park_per0_lofts_a_60_row_tube():
+    # rows of 24-48 points on one set of 700-odd domain knots: each row's
+    # saddle system is numerically singular unless it is equilibrated
+    rows = tube_rows(60, (24, 49), seed=0, noisy_radius=True)
+    result = lf.loft_closed_park(rows, 3, 3, 0.0)
+    scale = sc.bbox_diagonal(np.vstack(rows))
+    assert result.max_surface_residual <= lf.SURFACE_RESIDUAL_TOL * scale
+    assert _surface_residual(result, result.rows.rows) <= lf.SURFACE_RESIDUAL_TOL * scale
+    assert result.control_dims[1] > 600
+
+
+def test_park_builds_knots_and_stiffness_once_per_loft(monkeypatch):
+    calls = {"stiffness_matrix": 0, "cyclic_knot_vector": 0}
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for module in (lf, ci):
+        for name in calls:
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    result = lf.loft_closed_park(tube_rows(8, seed=3), 3, 3, 0.0)
+    assert result.control_dims[0] == 8
+    assert calls == {"stiffness_matrix": 1, "cyclic_knot_vector": 1}
+
+
+def test_energy_solve_with_shared_knots_and_stiffness_is_unchanged():
+    rows = lf.align_contours(lf.as_contour_rows(tube_rows(5, seed=4)))
+    domain = lf.build_common_domain_knots(rows, 3, 0.0, align="none")
+    kv = sc.cyclic_knot_vector(domain, 3)
+    stiff = la.stiffness_matrix(kv, 1.0, 0.2)
+    for r in rows.rows:
+        problem = ci.ClosedInterpolationProblem(r, pk.closed_parameters(r), domain, 3)
+        alone = ci.interpolate_closed_energy(problem, 1.0, 0.2)
+        shared = ci.interpolate_closed_energy(problem, 1.0, 0.2, kv=kv, stiff=stiff)
+        np.testing.assert_array_equal(shared.curve.control_points, alone.curve.control_points)
+
+
+def test_energy_solve_rejects_foreign_knots_and_stiffness():
+    rows = lf.align_contours(lf.as_contour_rows(tube_rows(4, seed=4)))
+    domain = lf.build_common_domain_knots(rows, 3, 0.0, align="none")
+    problem = ci.ClosedInterpolationProblem(rows.rows[0], pk.closed_parameters(rows.rows[0]), domain, 3)
+    other = sc.cyclic_knot_vector(np.linspace(0.0, 1.0, domain.size), 3)
+    with pytest.raises(InvalidInputError, match="knot vector"):
+        ci.interpolate_closed_energy(problem, kv=other)
+    kv = sc.cyclic_knot_vector(domain, 3)
+    with pytest.raises(InvalidInputError, match="stiffness"):
+        ci.interpolate_closed_energy(problem, kv=kv, stiff=np.eye(3))
+    t = pk.closed_parameters(circle_points(8))
+    square = ci.ClosedInterpolationProblem(circle_points(8), t, pk.closed_knots(t, "natural", 3)[0], 3)
+    with pytest.raises(InvalidInputError, match="knot vector"):
+        ci.interpolate_closed_square(square, kv=sc.cyclic_knot_vector(np.linspace(0.0, 1.0, 9), 3))
+
+
+def test_lofts_validate_rows_once(monkeypatch):
+    seen = []
+    check = lf._validate_closed_rows
+    monkeypatch.setattr(lf, "_validate_closed_rows", lambda rows, degree: seen.append(degree) or check(rows, degree))
+    rows = tube_rows(5, seed=2)
+    lf.loft_closed_piegl(rows, 3, 3, 1.0)
+    assert seen == [3]
+    lf.loft_closed_park(rows, 3, 3, 1.0)
+    assert seen == [3, 3]
+
+
+@pytest.mark.parametrize("stage", [lf.interpolate_all_row_points, lf.build_common_domain_knots])
+def test_row_stages_called_directly_still_validate(stage):
+    rows = [circle_points(16), circle_points(4), circle_points(16, z=1.0)]
+    with pytest.raises(InvalidInputError, match="row 1: closed degree-3 interpolation needs at least 5"):
+        stage(rows, 3, 1.0, align="none")
+    prepared = lf._prepare([circle_points(6, z=float(z)) for z in range(3)], 3, "auto")
+    with pytest.raises(InvalidInputError, match="row 0: closed degree-5 interpolation needs at least 7"):
+        stage(prepared, 5, 1.0, align="none")  # checked for degree 3 only
 
 
 def test_loft_rejects_undersized_rows():

@@ -139,6 +139,35 @@ def test_closed_curve_closure(rng):
     assert np.linalg.norm(sc.eval_curve(c, 0.0) - sc.eval_curve(c, 1.0)) < 1e-12
 
 
+def test_one_point_closed_curve_evaluates_to_its_point():
+    # one distinct control, degree 2: the wrap repeats the point twice
+    kv = sc.cyclic_knot_vector([0, 1], 2)
+    c = sc.BSplineCurve(2, kv, np.array([[1.0, 2.0, 3.0]]), "closed")
+    np.testing.assert_allclose(sc.eval_curve(c, [0.0, 0.3, 0.99]), [[1.0, 2.0, 3.0]] * 3, atol=1e-14)
+
+
+def test_closed_curve_with_fewer_controls_than_degree_wraps_cyclically():
+    from scipy.interpolate import BSpline
+
+    kv = sc.cyclic_knot_vector([0, 0.4, 1], 3)  # two distinct controls
+    ctrl = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, -1.0]])
+    c = sc.BSplineCurve(3, kv, ctrl, "closed")
+    expanded = c.expanded_controls()
+    np.testing.assert_array_equal(expanded, ctrl[[0, 1, 0, 1, 0]])
+    u = np.linspace(0.0, 1.0, 23)
+    np.testing.assert_allclose(sc.eval_curve(c, u), BSpline(kv.knots, expanded, 3)(u), atol=1e-13)
+
+
+def test_surface_with_one_cyclic_column_evaluates():
+    ku = sc.clamped_knot_vector([0, 1], 1)
+    kv = sc.cyclic_knot_vector([0, 1], 2)
+    net = np.array([[[0.0, 0.0, 0.0]], [[2.0, 4.0, 6.0]]])
+    s = sc.BSplineSurface(1, 2, ku, kv, net)
+    u = np.array([0.0, 0.25, 1.0])
+    pts = sc.eval_surface(s, u, np.array([0.5, 0.0, 0.9]))
+    np.testing.assert_allclose(pts, u[:, None] * [2.0, 4.0, 6.0], atol=1e-14)
+
+
 def test_open_linear_midpoint():
     kv = sc.clamped_knot_vector([0, 1], 1)
     c = sc.BSplineCurve(1, kv, np.array([[0, 0, 0], [1, 0, 0]], float), "open")
