@@ -34,7 +34,6 @@ from .param_knots import (
     shift_parameters,
 )
 from .spline_core import (
-    CYCLIC,
     BSplineCurve,
     KnotVector,
     as_points,
@@ -163,24 +162,8 @@ def _closed_condition(problem, warn):
     return check_conjecture1(problem.params, problem.domain_knots, problem.degree)
 
 
-def _cyclic_knots(problem, kv):
-    """The cyclic knot vector of the problem's domain knots: ``kv`` when the
-    caller built it already (after checking it is that vector), else a new one."""
-    if kv is None:
-        return cyclic_knot_vector(problem.domain_knots, problem.degree)
-    if kv.degree != problem.degree or kv.style != CYCLIC or not np.array_equal(
-        kv.domain_knots, problem.domain_knots
-    ):
-        raise InvalidInputError("knot vector is not the cyclic vector of the problem's domain knots")
-    return kv
-
-
-def interpolate_closed_square(problem, check_condition=True, kv=None):
-    """Square closed interpolation (as many distinct controls as points).
-
-    ``kv``, if given, must be the cyclic knot vector of the problem's domain
-    knots; callers solving many rows on one vector pass it to build it once.
-    """
+def interpolate_closed_square(problem, check_condition=True):
+    """Square closed interpolation (as many distinct controls as points)."""
     if problem.nhat != problem.n:
         raise InvalidInputError("square closed interpolation requires nhat == n")
     p = problem.degree
@@ -192,7 +175,7 @@ def interpolate_closed_square(problem, check_condition=True, kv=None):
             RuntimeWarning,
             stacklevel=2,
         )
-    kv = _cyclic_knots(problem, kv)
+    kv = cyclic_knot_vector(problem.domain_knots, p)
     matrix, _ = assemble_closed_system(problem.params, kv, problem.nhat)
     rhs = stack_closed_rhs(problem.points, p)
     try:
@@ -206,16 +189,20 @@ def interpolate_closed_square(problem, check_condition=True, kv=None):
     return _finish_closed(problem, kv, matrix, expanded, verdict)
 
 
-def interpolate_closed_energy(problem, alpha=1.0, beta=0.2, kv=None, stiff=None):
+def interpolate_closed_energy(problem, alpha=None, beta=None, stiff=None):
     """Under-determined closed interpolation by constrained energy minimization.
 
     Refuses to run when no subsequence of the domain knots satisfies the
     square condition, since full rank of the constraint block is then not
-    guaranteed.  Rows lofted on one set of domain knots share the knot
-    vector and the stiffness matrix: ``kv`` must then be the cyclic knot
-    vector of the domain knots and ``stiff`` its ``stiffness_matrix(kv,
-    alpha, beta)``; either is built here when not given.
+    guaranteed.  The energy is that of ``stiffness_matrix(kv, alpha, beta)``
+    on the cyclic knot vector of the domain knots, with stretch weight
+    ``alpha`` (default 1.0) and bend weight ``beta`` (default 0.2).  Rows
+    lofted on one set of domain knots share that matrix: a caller that built
+    it passes it as ``stiff`` instead of the weights, and giving both is an
+    error, since the weights would not be the ones used.
     """
+    if stiff is not None and (alpha is not None or beta is not None):
+        raise InvalidInputError("give the stiffness matrix or its weights, not both")
     p = problem.degree
     if not problem.parity_ok:
         raise ContractError(
@@ -228,10 +215,10 @@ def interpolate_closed_energy(problem, alpha=1.0, beta=0.2, kv=None, stiff=None)
             "no subsequence of the domain knots satisfies the closed "
             "interpolation condition; full rank is not guaranteed"
         )
-    kv = _cyclic_knots(problem, kv)
+    kv = cyclic_knot_vector(problem.domain_knots, p)
     matrix, _ = assemble_closed_system(problem.params, kv, problem.nhat)
     if stiff is None:
-        stiff = stiffness_matrix(kv, alpha, beta)
+        stiff = stiffness_matrix(kv, 1.0 if alpha is None else alpha, 0.2 if beta is None else beta)
     elif np.shape(stiff) != (kv.n_basis, kv.n_basis):
         raise InvalidInputError("stiffness matrix does not match the knot vector")
     rhs = stack_closed_rhs(problem.points, p)

@@ -205,7 +205,7 @@ def stiffness_matrix(kv, alpha=1.0, beta=0.2):
     spans = np.repeat(live + p, p + 1)
     half_n = np.repeat(half, p + 1)
     w_n = np.tile(weights, live.size)
-    ders = _kernels.batch_ders_basis_funs(kv.knots, p, spans, us, 2 if beta > 0.0 else 1)
+    ders = _kernels.ders_basis_funs(kv.knots, p, spans, us, 2 if beta > 0.0 else 1)
     # node-major: the α then the β term of node 0, then of node 1, ...;
     # bincount adds in input order, starting from 0.0
     vals = np.stack([

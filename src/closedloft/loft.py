@@ -13,7 +13,7 @@ An open-section pipeline (per-row averaging knots, merge, refine) serves as
 the traditional baseline.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import reduce
 from typing import List, Optional
 
@@ -78,9 +78,6 @@ class ContourRows:
     aligned: bool = False
     baseline: Optional[List[int]] = None
     reversed_flags: Optional[List[bool]] = None
-    # The degree :func:`_prepare` checked these rows for, so that the stages
-    # a loft hands its prepared rows to do not check them again.
-    validated_degree: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.rows = [as_points(r, min_count=3) for r in self.rows]
@@ -152,18 +149,22 @@ def align_contours(rows):
     return ContourRows(out, aligned=True, baseline=baseline, reversed_flags=flipped)
 
 
+# The ``align`` a loft passes, with rows it has prepared already, to the
+# stages it hands them to, so that they do not validate the rows again.
+_PREPARED = object()
+
+
 def _prepare(rows, degree, align):
-    """Validated (once per degree) and, under ``align="auto"``, aligned rows."""
+    """Validated and, under ``align="auto"``, aligned rows."""
+    if align is _PREPARED:
+        return rows
     rows = as_contour_rows(rows)
-    if rows.validated_degree != degree:
-        _validate_closed_rows(rows, degree)
-    if align != "none" and not rows.aligned and len(rows.rows) > 1:
-        if align != "auto":
-            raise InvalidInputError(f"unknown alignment mode {align!r}")
-        rows = align_contours(rows)
-    prepared = replace(rows)
-    prepared.validated_degree = degree
-    return prepared
+    _validate_closed_rows(rows, degree)
+    if align == "none" or rows.aligned or len(rows.rows) == 1:
+        return rows
+    if align != "auto":
+        raise InvalidInputError(f"unknown alignment mode {align!r}")
+    return align_contours(rows)
 
 
 def _averaged_max_row_parameters(rows):
@@ -339,7 +340,7 @@ def _assemble_and_check(rows, row_curves, degree_u, method, per, closed):
 def loft_closed_piegl(rows, degree_u, degree_v, per, align="auto"):
     """Closed lofting via per-row knot reuse, clamping and refinement."""
     rows = _prepare(rows, degree_v, align)
-    row_curves = interpolate_all_row_points(rows, degree_v, per, align="none")
+    row_curves = interpolate_all_row_points(rows, degree_v, per, align=_PREPARED)
     return _assemble_and_check(rows, row_curves, degree_u, "piegl", per, closed=True)
 
 
@@ -353,18 +354,14 @@ def loft_closed_park(rows, degree_u, degree_v, per, alpha=1.0, beta=0.2, align="
     """Closed lofting via common domain knots and per-row energy solves.
 
     Every row shares one cyclic knot vector, so a single clamping pass per
-    row yields compatible curves without refinement.  The knot vector and
-    the stiffness matrix of the energy solves are built once for all rows.
-    The bend weight used is that of :func:`park_bend_weight`.
+    row yields compatible curves without refinement.  The stiffness matrix
+    of the energy solves is built once for all rows.  The bend weight used
+    is that of :func:`park_bend_weight`.
     """
     beta = park_bend_weight(degree_v, beta)
     rows = _prepare(rows, degree_v, align)
-    common_domain = build_common_domain_knots(rows, degree_v, per, align="none")
-    kv = cyclic_knot_vector(common_domain, degree_v)
-    nhat = common_domain.size - 2
+    common_domain = build_common_domain_knots(rows, degree_v, per, align=_PREPARED)
     stiff = None
-    if any(r.shape[0] - 1 < nhat for r in rows.rows):
-        stiff = stiffness_matrix(kv, alpha, beta)
     curves, params, residuals = [], [], []
     common = None
     for i, r in enumerate(rows.rows):
@@ -373,9 +370,12 @@ def loft_closed_park(rows, degree_u, degree_v, per, alpha=1.0, beta=0.2, align="
         problem = ClosedInterpolationProblem(r, solve_params, common_domain, degree_v)
         try:
             if problem.nhat > problem.n:
-                res = interpolate_closed_energy(problem, alpha, beta, kv=kv, stiff=stiff)
+                if stiff is None:
+                    kv = cyclic_knot_vector(common_domain, degree_v)
+                    stiff = stiffness_matrix(kv, alpha, beta)
+                res = interpolate_closed_energy(problem, stiff=stiff)
             else:
-                res = interpolate_closed_square(problem, kv=kv)
+                res = interpolate_closed_square(problem)
         except ClosedLoftError as exc:
             raise type(exc)(f"row {i}: {exc}") from exc
         clamped = clamp_closed_curve(res.curve)

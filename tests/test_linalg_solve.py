@@ -225,17 +225,24 @@ def test_stiffness_equals_node_loop_linear(rng):
     )
 
 
-def test_batch_ders_basis_funs_equal_scalar_kernel(rng):
+def test_ders_basis_funs_on_arrays_equal_pointwise_calls_and_scipy(rng):
     for degree in range(1, 6):
         kv = _repeated_knot_vector(rng, degree, False)
         us = rng.uniform(0.0, 1.0, 40)
         spans = np.array([_kernels.find_span(kv.knots, degree, u) for u in us])
+        basis = BSpline(kv.knots, np.eye(kv.n_basis), degree)
         for order in range(degree + 1):
-            batch = _kernels.batch_ders_basis_funs(kv.knots, degree, spans, us, order)
+            ders = _kernels.ders_basis_funs(kv.knots, degree, spans, us, order)
+            assert ders.shape == (order + 1, degree + 1, us.size)
             for m, (span, u) in enumerate(zip(spans, us)):
                 np.testing.assert_array_equal(
-                    batch[..., m], _kernels.ders_basis_funs(kv.knots, degree, span, u, order)
+                    ders[..., m], _kernels.ders_basis_funs(kv.knots, degree, int(span), float(u), order)
                 )
+            for k in range(order + 1):
+                full = basis(us, nu=k)
+                ref = np.stack([full[m, s - degree: s + 1] for m, s in enumerate(spans)], axis=1)
+                scale = max(np.abs(ref).max(), 1.0)
+                np.testing.assert_allclose(ders[k], ref, rtol=0, atol=1e-9 * scale)
 
 
 def test_stiffness_zero_weights():

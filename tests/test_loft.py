@@ -261,49 +261,45 @@ def test_park_per0_lofts_a_60_row_tube():
     assert result.control_dims[1] > 600
 
 
-def test_park_builds_knots_and_stiffness_once_per_loft(monkeypatch):
-    calls = {"stiffness_matrix": 0, "cyclic_knot_vector": 0}
-
-    def counted(name, fn):
-        def wrapped(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapped
-
-    for module in (lf, ci):
-        for name in calls:
-            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-    result = lf.loft_closed_park(tube_rows(8, seed=3), 3, 3, 0.0)
+def test_park_builds_stiffness_once_per_loft(monkeypatch):
+    calls = []
+    build = lf.stiffness_matrix
+    monkeypatch.setattr(lf, "stiffness_matrix", lambda *args: calls.append(args) or build(*args))
+    monkeypatch.setattr(ci, "stiffness_matrix", None)  # a row must not build its own
+    result = lf.loft_closed_park(tube_rows(8, seed=3), 3, 3, 0.0, alpha=1.5, beta=0.3)
     assert result.control_dims[0] == 8
-    assert calls == {"stiffness_matrix": 1, "cyclic_knot_vector": 1}
+    assert len(calls) == 1 and calls[0][1:] == (1.5, 0.3)
 
 
-def test_energy_solve_with_shared_knots_and_stiffness_is_unchanged():
-    rows = lf.align_contours(lf.as_contour_rows(tube_rows(5, seed=4)))
+def _energy_problems(count):
+    rows = lf.align_contours(lf.as_contour_rows(tube_rows(count, seed=4)))
     domain = lf.build_common_domain_knots(rows, 3, 0.0, align="none")
-    kv = sc.cyclic_knot_vector(domain, 3)
-    stiff = la.stiffness_matrix(kv, 1.0, 0.2)
-    for r in rows.rows:
-        problem = ci.ClosedInterpolationProblem(r, pk.closed_parameters(r), domain, 3)
-        alone = ci.interpolate_closed_energy(problem, 1.0, 0.2)
-        shared = ci.interpolate_closed_energy(problem, 1.0, 0.2, kv=kv, stiff=stiff)
+    problems = [ci.ClosedInterpolationProblem(r, pk.closed_parameters(r), domain, 3) for r in rows.rows]
+    return problems, sc.cyclic_knot_vector(domain, 3)
+
+
+def test_energy_solve_with_shared_stiffness_is_unchanged():
+    problems, kv = _energy_problems(5)
+    stiff = la.stiffness_matrix(kv, 1.5, 0.3)
+    for problem in problems:
+        alone = ci.interpolate_closed_energy(problem, 1.5, 0.3)
+        shared = ci.interpolate_closed_energy(problem, stiff=stiff)
         np.testing.assert_array_equal(shared.curve.control_points, alone.curve.control_points)
 
 
-def test_energy_solve_rejects_foreign_knots_and_stiffness():
-    rows = lf.align_contours(lf.as_contour_rows(tube_rows(4, seed=4)))
-    domain = lf.build_common_domain_knots(rows, 3, 0.0, align="none")
-    problem = ci.ClosedInterpolationProblem(rows.rows[0], pk.closed_parameters(rows.rows[0]), domain, 3)
-    other = sc.cyclic_knot_vector(np.linspace(0.0, 1.0, domain.size), 3)
-    with pytest.raises(InvalidInputError, match="knot vector"):
-        ci.interpolate_closed_energy(problem, kv=other)
-    kv = sc.cyclic_knot_vector(domain, 3)
-    with pytest.raises(InvalidInputError, match="stiffness"):
-        ci.interpolate_closed_energy(problem, kv=kv, stiff=np.eye(3))
-    t = pk.closed_parameters(circle_points(8))
-    square = ci.ClosedInterpolationProblem(circle_points(8), t, pk.closed_knots(t, "natural", 3)[0], 3)
-    with pytest.raises(InvalidInputError, match="knot vector"):
-        ci.interpolate_closed_square(square, kv=sc.cyclic_knot_vector(np.linspace(0.0, 1.0, 9), 3))
+def test_energy_solve_takes_the_stiffness_or_its_weights():
+    problems, kv = _energy_problems(4)
+    stiff = la.stiffness_matrix(kv, 1.0, 0.2)
+    for weights in ({"alpha": 2.0}, {"beta": 0.5}, {"alpha": 1.0, "beta": 0.2}):
+        with pytest.raises(InvalidInputError, match="not both"):
+            ci.interpolate_closed_energy(problems[0], stiff=stiff, **weights)
+    with pytest.raises(InvalidInputError, match="does not match the knot vector"):
+        ci.interpolate_closed_energy(problems[0], stiff=np.eye(3))
+    # the defaults are the weights 1.0 and 0.2
+    np.testing.assert_array_equal(
+        ci.interpolate_closed_energy(problems[0]).curve.control_points,
+        ci.interpolate_closed_energy(problems[0], stiff=stiff).curve.control_points,
+    )
 
 
 def test_lofts_validate_rows_once(monkeypatch):
