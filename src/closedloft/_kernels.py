@@ -3,35 +3,33 @@ derivatives, collocation rows, and batched curve/surface evaluation.
 
 All kernels take raw float64 arrays.  Knot vectors are the *full* arrays
 (clamped or cyclically extended); callers are responsible for domain checks.
+
+Every kernel runs over all of its parameters at once: the Python loops go
+over the degree (or the p+1 local basis indices) only, with the parameters
+as the last axis.  Terms are added in the order a point-by-point loop adds
+them, so each output is the same floating-point value that loop gives.
 """
 
 import numpy as np
 
 
 def find_span(knots, degree, u):
-    # Half-open spans; the right domain endpoint maps to the last span
-    # (limit from the left) so that evaluation at u = 1 is well defined.
+    """Index of the half-open knot span holding u (a scalar or an array).
+
+    The right domain endpoint maps to the last span (limit from the left)
+    so that evaluation at u = 1 is well defined.
+    """
     hi_span = knots.shape[0] - degree - 2
-    if u >= knots[hi_span + 1]:
-        return hi_span
-    if u <= knots[degree]:
-        return degree
-    low = degree
-    high = hi_span + 1
-    mid = (low + high) // 2
-    while u < knots[mid] or u >= knots[mid + 1]:
-        if u < knots[mid]:
-            high = mid
-        else:
-            low = mid
-        mid = (low + high) // 2
-    return mid
+    return np.clip(np.searchsorted(knots, u, "right") - 1, degree, hi_span)
 
 
 def basis_funs(knots, degree, span, u):
-    values = np.empty(degree + 1)
-    left = np.empty(degree + 1)
-    right = np.empty(degree + 1)
+    """The p+1 nonzero basis values at u (The NURBS Book, A2.2); shape
+    (degree+1,) + ``u``'s shape."""
+    u = np.asarray(u, dtype=float)
+    values = np.empty((degree + 1,) + u.shape)
+    left = np.empty((degree + 1,) + u.shape)
+    right = np.empty((degree + 1,) + u.shape)
     values[0] = 1.0
     for j in range(1, degree + 1):
         left[j] = u - knots[span + 1 - j]
@@ -49,10 +47,8 @@ def ders_basis_funs(knots, degree, span, u, order):
     """Derivatives of orders 0 .. order of the p+1 nonzero basis functions.
 
     ``u`` is one parameter or an array of them, ``span`` its knot span (or
-    the array of spans).  Returns shape (order+1, degree+1) + ``u``'s shape;
-    the recurrences (The NURBS Book, A2.3) run over the degree with the
-    parameters as the last axis, so every slice is the same floating-point
-    result a call at that one parameter gives.
+    the array of spans).  Returns shape (order+1, degree+1) + ``u``'s shape
+    (The NURBS Book, A2.3).
     """
     p = degree
     u = np.asarray(u, dtype=float)
@@ -106,68 +102,53 @@ def ders_basis_funs(knots, degree, span, u, order):
 
 def collocation_matrix(knots, degree, n_basis, params):
     out = np.zeros((params.shape[0], n_basis))
-    for i in range(params.shape[0]):
-        span = find_span(knots, degree, params[i])
-        vals = basis_funs(knots, degree, span, params[i])
-        for j in range(degree + 1):
-            out[i, span - degree + j] = vals[j]
+    spans = find_span(knots, degree, params)
+    vals = basis_funs(knots, degree, spans, params)
+    rows = np.arange(params.shape[0])
+    for j in range(degree + 1):
+        out[rows, spans - degree + j] = vals[j]
     return out
 
 
 def curve_points(knots, degree, ctrl, params):
-    dim = ctrl.shape[1]
-    out = np.zeros((params.shape[0], dim))
-    for i in range(params.shape[0]):
-        span = find_span(knots, degree, params[i])
-        vals = basis_funs(knots, degree, span, params[i])
-        for j in range(degree + 1):
-            c = span - degree + j
-            for d in range(dim):
-                out[i, d] += vals[j] * ctrl[c, d]
+    out = np.zeros((params.shape[0], ctrl.shape[1]))
+    spans = find_span(knots, degree, params)
+    vals = basis_funs(knots, degree, spans, params)
+    for j in range(degree + 1):
+        out += vals[j][:, None] * ctrl[spans - degree + j]
     return out
 
 
 def curve_derivatives(knots, degree, ctrl, params, order):
-    dim = ctrl.shape[1]
-    out = np.zeros((params.shape[0], order + 1, dim))
-    for i in range(params.shape[0]):
-        span = find_span(knots, degree, params[i])
-        ders = ders_basis_funs(knots, degree, span, params[i], order)
-        for k in range(order + 1):
-            for j in range(degree + 1):
-                c = span - degree + j
-                for d in range(dim):
-                    out[i, k, d] += ders[k, j] * ctrl[c, d]
+    out = np.zeros((params.shape[0], order + 1, ctrl.shape[1]))
+    spans = find_span(knots, degree, params)
+    ders = ders_basis_funs(knots, degree, spans, params, order)
+    for k in range(order + 1):
+        for j in range(degree + 1):
+            out[:, k] += ders[k, j][:, None] * ctrl[spans - degree + j]
+    return out
+
+
+def _tensor_sum(net, deg_u, deg_v, su, sv, bu, bv):
+    """Sum of bu[i] * bv[j] * net[su-p+i, sv-q+j], i-major, one point per row."""
+    out = np.zeros((su.shape[0], net.shape[2]))
+    for i in range(deg_u + 1):
+        for j in range(deg_v + 1):
+            out += (bu[i] * bv[j])[:, None] * net[su - deg_u + i, sv - deg_v + j]
     return out
 
 
 def surface_points(knots_u, deg_u, knots_v, deg_v, net, us, vs):
-    dim = net.shape[2]
-    out = np.zeros((us.shape[0], dim))
-    for k in range(us.shape[0]):
-        su = find_span(knots_u, deg_u, us[k])
-        sv = find_span(knots_v, deg_v, vs[k])
-        bu = basis_funs(knots_u, deg_u, su, us[k])
-        bv = basis_funs(knots_v, deg_v, sv, vs[k])
-        for i in range(deg_u + 1):
-            for j in range(deg_v + 1):
-                w = bu[i] * bv[j]
-                for d in range(dim):
-                    out[k, d] += w * net[su - deg_u + i, sv - deg_v + j, d]
-    return out
+    su = find_span(knots_u, deg_u, us)
+    sv = find_span(knots_v, deg_v, vs)
+    bu = basis_funs(knots_u, deg_u, su, us)
+    bv = basis_funs(knots_v, deg_v, sv, vs)
+    return _tensor_sum(net, deg_u, deg_v, su, sv, bu, bv)
 
 
 def surface_partial(knots_u, deg_u, knots_v, deg_v, net, us, vs, du, dv):
-    dim = net.shape[2]
-    out = np.zeros((us.shape[0], dim))
-    for k in range(us.shape[0]):
-        su = find_span(knots_u, deg_u, us[k])
-        sv = find_span(knots_v, deg_v, vs[k])
-        bu = ders_basis_funs(knots_u, deg_u, su, us[k], du)
-        bv = ders_basis_funs(knots_v, deg_v, sv, vs[k], dv)
-        for i in range(deg_u + 1):
-            for j in range(deg_v + 1):
-                w = bu[du, i] * bv[dv, j]
-                for d in range(dim):
-                    out[k, d] += w * net[su - deg_u + i, sv - deg_v + j, d]
-    return out
+    su = find_span(knots_u, deg_u, us)
+    sv = find_span(knots_v, deg_v, vs)
+    bu = ders_basis_funs(knots_u, deg_u, su, us, du)[du]
+    bv = ders_basis_funs(knots_v, deg_v, sv, vs, dv)[dv]
+    return _tensor_sum(net, deg_u, deg_v, su, sv, bu, bv)

@@ -9,6 +9,7 @@ to exact copies so closure can never drift downstream.
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -58,13 +59,19 @@ SELECT_MARGIN = 10.0 * STRICT_TOL
 @dataclass(frozen=True)
 class InterpolationResult:
     """A solved interpolation: the curve, its worst residual (model units),
-    and diagnostics of the system that produced it."""
+    and the system matrix that produced it."""
 
     curve: BSplineCurve
     max_residual: float
-    diagnostics: RankReport
+    system: np.ndarray
     condition_ok: Optional[bool] = None
     wrap_deviation: float = 0.0
+
+    @cached_property
+    def diagnostics(self) -> RankReport:
+        """Rank and condition of :attr:`system`.  The SVD runs on first read:
+        the lofting pipelines never read it."""
+        return rank_report(self.system)
 
 
 @dataclass(frozen=True)
@@ -137,14 +144,13 @@ def interpolate_open(points, params, kv):
     except ZeroPivotError:
         ctrl = solve_dense(matrix, pts)
     residual = float(np.linalg.norm(matrix @ ctrl - pts, axis=1).max())
-    report = rank_report(matrix)
     if residual > OPEN_RESIDUAL_TOL * _relative_scale(pts):
         raise SingularSystemError(
             f"open interpolation residual {residual:.3e} exceeds tolerance",
-            rank_report=report,
+            rank_report=rank_report(matrix),
         )
     curve = BSplineCurve(kv.degree, kv, ctrl, kind="open")
-    return InterpolationResult(curve, residual, report)
+    return InterpolationResult(curve, residual, matrix)
 
 
 def _closed_condition(problem, warn):
@@ -235,14 +241,13 @@ def _finish_closed(problem, kv, matrix, expanded, verdict):
             eval_curve(curve, problem.params.values) - problem.points, axis=1
         ).max()
     )
-    report = rank_report(matrix)
     if residual > CLOSED_RESIDUAL_TOL * _relative_scale(problem.points):
         raise SingularSystemError(
             f"closed interpolation residual {residual:.3e} exceeds tolerance",
-            rank_report=report,
+            rank_report=rank_report(matrix),
             condition_ok=verdict,
         )
-    return InterpolationResult(curve, residual, report, verdict, wrap_dev)
+    return InterpolationResult(curve, residual, matrix, verdict, wrap_dev)
 
 
 def select_domain_knots(params, input_kv, degree, per):

@@ -158,11 +158,11 @@ def solve_banded_no_pivot(matrix, semi_bandwidth, rhs):
                 f = a[i, k] / piv
                 a[i, k:hi] -= f * a[k, k:hi]
                 b[i] -= f * b[k]
-    x = np.empty_like(b)
+    # back substitution in place: rows below i of b already hold the solution
     for i in range(n - 1, -1, -1):
         hi = min(i + bw + 1, n)
-        x[i] = (b[i] - a[i, i + 1: hi].T @ x[i + 1: hi]) / a[i, i]
-    return x if np.ndim(rhs) > 1 else x[:, 0]
+        b[i] = (b[i] - a[i, i + 1: hi].T @ b[i + 1: hi]) / a[i, i]
+    return b if np.ndim(rhs) > 1 else b[:, 0]
 
 
 def semi_bandwidth(matrix, tol=0.0):

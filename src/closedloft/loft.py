@@ -321,10 +321,10 @@ def _assemble_and_check(rows, row_curves, degree_u, method, per, closed):
         control_net, closed_v=closed,
     )
     scale = max(bbox_diagonal(np.vstack(rows.rows)), 1e-30)
-    worst = 0.0
-    for i, (r, t) in enumerate(zip(rows.rows, row_curves.solve_params)):
-        pts = eval_surface(surface, np.full(t.size, s.values[i]), t)
-        worst = max(worst, float(np.linalg.norm(pts - r, axis=1).max()))
+    # every row's points in one evaluation: row i at u = s_i
+    us = np.repeat(s.values, [t.size for t in row_curves.solve_params])
+    pts = eval_surface(surface, us, np.concatenate(row_curves.solve_params))
+    worst = float(np.linalg.norm(pts - np.concatenate(rows.rows), axis=1).max())
     if worst > SURFACE_RESIDUAL_TOL * scale:
         raise ClosedLoftError(
             f"surface residual {worst:.3e} exceeds {SURFACE_RESIDUAL_TOL:.0e} "

@@ -176,9 +176,10 @@ def clamped_knot_vector(domain, degree):
 
 def _check_in_domain(u):
     u = np.asarray(u, dtype=float)
-    if np.any(u < 0.0) or np.any(u > 1.0):
-        bad = u[(u < 0.0) | (u > 1.0)]
-        raise DomainError(f"parameter {float(np.atleast_1d(bad)[0])} outside domain [0, 1]")
+    # written so that NaN, which fails every comparison, is rejected too
+    outside = ~((u >= 0.0) & (u <= 1.0))
+    if np.any(outside):
+        raise DomainError(f"parameter {float(u[outside][0])} outside domain [0, 1]")
     return u
 
 

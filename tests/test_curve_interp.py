@@ -74,6 +74,20 @@ def test_circle16_natural_cubic():
     assert np.abs(d0 - d1).max() / max(np.abs(d0).max(), 1.0) < 1e-8
 
 
+def test_diagnostics_run_the_svd_only_when_read(monkeypatch):
+    calls = []
+    monkeypatch.setattr(ci, "rank_report", lambda m: calls.append(m) or la.rank_report(m))
+    pts = circle_points(12)
+    closed = ci.interpolate_closed_square(_closed_problem(pts, 3))
+    t = pk.open_parameters(pts)
+    opened = ci.interpolate_open(pts, t, pk.averaging_knots_open(t, 3))
+    assert calls == []
+    for res in (closed, opened):
+        assert res.diagnostics.rank == res.system.shape[1]
+        assert res.diagnostics is res.diagnostics
+    assert len(calls) == 2
+
+
 def test_ellipse12_shifting_quartic():
     pts = ellipse_points(12)
     res = ci.interpolate_closed_square(_closed_problem(pts, 4, "shifting"))

@@ -1,0 +1,234 @@
+"""The batched kernels against point-by-point reference loops.
+
+The references below are the kernels as they were written before they ran
+over arrays: one parameter at a time, adding terms in the same order.  The
+batched kernels must give the same floating-point values, so every
+comparison is exact.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from closedloft import _kernels
+
+
+# --- point-by-point references ---
+
+def find_span_ref(knots, degree, u):
+    hi_span = knots.shape[0] - degree - 2
+    if u >= knots[hi_span + 1]:
+        return hi_span
+    if u <= knots[degree]:
+        return degree
+    low = degree
+    high = hi_span + 1
+    mid = (low + high) // 2
+    while u < knots[mid] or u >= knots[mid + 1]:
+        if u < knots[mid]:
+            high = mid
+        else:
+            low = mid
+        mid = (low + high) // 2
+    return mid
+
+
+def basis_funs_ref(knots, degree, span, u):
+    values = np.empty(degree + 1)
+    left = np.empty(degree + 1)
+    right = np.empty(degree + 1)
+    values[0] = 1.0
+    for j in range(1, degree + 1):
+        left[j] = u - knots[span + 1 - j]
+        right[j] = knots[span + j] - u
+        saved = 0.0
+        for r in range(j):
+            temp = values[r] / (right[r + 1] + left[j - r])
+            values[r] = saved + right[r + 1] * temp
+            saved = left[j - r] * temp
+        values[j] = saved
+    return values
+
+
+def collocation_matrix_ref(knots, degree, n_basis, params):
+    out = np.zeros((params.shape[0], n_basis))
+    for i in range(params.shape[0]):
+        span = find_span_ref(knots, degree, params[i])
+        vals = basis_funs_ref(knots, degree, span, params[i])
+        for j in range(degree + 1):
+            out[i, span - degree + j] = vals[j]
+    return out
+
+
+def curve_points_ref(knots, degree, ctrl, params):
+    dim = ctrl.shape[1]
+    out = np.zeros((params.shape[0], dim))
+    for i in range(params.shape[0]):
+        span = find_span_ref(knots, degree, params[i])
+        vals = basis_funs_ref(knots, degree, span, params[i])
+        for j in range(degree + 1):
+            c = span - degree + j
+            for d in range(dim):
+                out[i, d] += vals[j] * ctrl[c, d]
+    return out
+
+
+def curve_derivatives_ref(knots, degree, ctrl, params, order):
+    dim = ctrl.shape[1]
+    out = np.zeros((params.shape[0], order + 1, dim))
+    for i in range(params.shape[0]):
+        span = find_span_ref(knots, degree, params[i])
+        ders = _kernels.ders_basis_funs(knots, degree, span, params[i], order)
+        for k in range(order + 1):
+            for j in range(degree + 1):
+                c = span - degree + j
+                for d in range(dim):
+                    out[i, k, d] += ders[k, j] * ctrl[c, d]
+    return out
+
+
+def surface_points_ref(knots_u, deg_u, knots_v, deg_v, net, us, vs):
+    dim = net.shape[2]
+    out = np.zeros((us.shape[0], dim))
+    for k in range(us.shape[0]):
+        su = find_span_ref(knots_u, deg_u, us[k])
+        sv = find_span_ref(knots_v, deg_v, vs[k])
+        bu = basis_funs_ref(knots_u, deg_u, su, us[k])
+        bv = basis_funs_ref(knots_v, deg_v, sv, vs[k])
+        for i in range(deg_u + 1):
+            for j in range(deg_v + 1):
+                w = bu[i] * bv[j]
+                for d in range(dim):
+                    out[k, d] += w * net[su - deg_u + i, sv - deg_v + j, d]
+    return out
+
+
+def surface_partial_ref(knots_u, deg_u, knots_v, deg_v, net, us, vs, du, dv):
+    dim = net.shape[2]
+    out = np.zeros((us.shape[0], dim))
+    for k in range(us.shape[0]):
+        su = find_span_ref(knots_u, deg_u, us[k])
+        sv = find_span_ref(knots_v, deg_v, vs[k])
+        bu = _kernels.ders_basis_funs(knots_u, deg_u, su, us[k], du)
+        bv = _kernels.ders_basis_funs(knots_v, deg_v, sv, vs[k], dv)
+        for i in range(deg_u + 1):
+            for j in range(deg_v + 1):
+                w = bu[du, i] * bv[dv, j]
+                for d in range(dim):
+                    out[k, d] += w * net[su - deg_u + i, sv - deg_v + j, d]
+    return out
+
+
+# --- strategies ---
+
+@st.composite
+def knot_vectors(draw):
+    """(knots, degree): clamped or cyclically extended, interior knots of
+    multiplicity up to the degree."""
+    p = draw(st.integers(1, 5))
+    distinct = draw(st.lists(st.floats(0.01, 0.99), min_size=0, max_size=6, unique=True))
+    mults = draw(st.lists(st.integers(1, p), min_size=len(distinct), max_size=len(distinct)))
+    domain = np.concatenate([[0.0], np.sort(np.repeat(distinct, mults)), [1.0]])
+    if draw(st.booleans()):
+        return np.concatenate([np.zeros(p), domain, np.ones(p)]), p
+    # the period-preserving extension of spline_core.cyclic_knot_vector,
+    # here also over repeated domain knots
+    n1 = domain.size - 1
+    full = np.empty(domain.size + 2 * p)
+    full[p: p + domain.size] = domain
+    for i in range(1, p + 1):
+        full[p - i] = full[p - i + 1] + full[p + n1 - i] - full[p + n1 - i + 1]
+        full[p + n1 + i] = full[p + n1 + i - 1] + full[p + i] - full[p + i - 1]
+    return full, p
+
+
+def parameters(draw, knots, p, size=None):
+    """Parameters in [0, 1], among them domain knots, 0 and 1."""
+    on_knots = st.sampled_from(sorted(set(knots[p: knots.size - p]) | {0.0, 1.0}))
+    values = draw(st.lists(
+        st.one_of(st.floats(0.0, 1.0), on_knots),
+        min_size=size or 1, max_size=size or 24,
+    ))
+    return np.array(values)
+
+
+@st.composite
+def curve_cases(draw):
+    knots, p = draw(knot_vectors())
+    us = parameters(draw, knots, p)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ctrl = rng.normal(size=(knots.size - p - 1, 3))
+    return knots, p, us, ctrl
+
+
+@st.composite
+def surface_cases(draw):
+    knots_u, p = draw(knot_vectors())
+    knots_v, q = draw(knot_vectors())
+    us = parameters(draw, knots_u, p)
+    vs = parameters(draw, knots_v, q, size=us.size)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    net = rng.normal(size=(knots_u.size - p - 1, knots_v.size - q - 1, 3))
+    return knots_u, p, knots_v, q, net, us, vs
+
+
+# --- batched equals point by point ---
+
+@settings(deadline=None, max_examples=200)
+@given(curve_cases())
+def test_find_span_and_basis_funs(case):
+    knots, p, us, _ctrl = case
+    spans = _kernels.find_span(knots, p, us)
+    np.testing.assert_array_equal(spans, [find_span_ref(knots, p, u) for u in us])
+    assert _kernels.find_span(knots, p, us[0]) == spans[0]
+    vals = _kernels.basis_funs(knots, p, spans, us)
+    assert vals.shape == (p + 1, us.size)
+    for m, u in enumerate(us):
+        ref = basis_funs_ref(knots, p, spans[m], u)
+        np.testing.assert_array_equal(vals[:, m], ref)
+        np.testing.assert_array_equal(_kernels.basis_funs(knots, p, spans[m], u), ref)
+
+
+@settings(deadline=None, max_examples=200)
+@given(curve_cases())
+def test_collocation_matrix(case):
+    knots, p, us, _ctrl = case
+    n_basis = knots.size - p - 1
+    np.testing.assert_array_equal(
+        _kernels.collocation_matrix(knots, p, n_basis, us),
+        collocation_matrix_ref(knots, p, n_basis, us),
+    )
+
+
+@settings(deadline=None, max_examples=200)
+@given(curve_cases())
+def test_curve_points(case):
+    knots, p, us, ctrl = case
+    np.testing.assert_array_equal(
+        _kernels.curve_points(knots, p, ctrl, us), curve_points_ref(knots, p, ctrl, us)
+    )
+
+
+@settings(deadline=None, max_examples=100)
+@given(curve_cases(), st.integers(0, 5))
+def test_curve_derivatives(case, order):
+    knots, p, us, ctrl = case
+    order = min(order, p)
+    np.testing.assert_array_equal(
+        _kernels.curve_derivatives(knots, p, ctrl, us, order),
+        curve_derivatives_ref(knots, p, ctrl, us, order),
+    )
+
+
+@settings(deadline=None, max_examples=100)
+@given(surface_cases())
+def test_surface_points(case):
+    np.testing.assert_array_equal(_kernels.surface_points(*case), surface_points_ref(*case))
+
+
+@settings(deadline=None, max_examples=100)
+@given(surface_cases(), st.integers(0, 5), st.integers(0, 5))
+def test_surface_partial(case, du, dv):
+    du, dv = min(du, case[1]), min(dv, case[3])
+    np.testing.assert_array_equal(
+        _kernels.surface_partial(*case, du, dv), surface_partial_ref(*case, du, dv)
+    )

@@ -95,6 +95,30 @@ def test_basis_domain_error():
         sc.basis_functions(kv, -0.1)
 
 
+_KV = sc.clamped_knot_vector([0, 0.5, 1], 2)
+_CURVE = sc.BSplineCurve(2, _KV, np.arange(12.0).reshape(4, 3), kind="open")
+_SURFACE = sc.BSplineSurface(2, 2, _KV, _KV, np.arange(48.0).reshape(4, 4, 3))
+_ENTRY_POINTS = {
+    "find_span": lambda u: sc.find_span(_KV, u),
+    "nonzero_basis": lambda u: sc.nonzero_basis(_KV, u),
+    "basis_functions": lambda u: sc.basis_functions(_KV, u),
+    "basis_derivatives": lambda u: sc.basis_derivatives(_KV, u, 1),
+    "eval_curve": lambda u: sc.eval_curve(_CURVE, u),
+    "curve_derivatives": lambda u: sc.curve_derivatives(_CURVE, u, 1),
+    "eval_surface_u": lambda u: sc.eval_surface(_SURFACE, u, 0.5),
+    "eval_surface_v": lambda u: sc.eval_surface(_SURFACE, [0.5, 0.5], [0.5, u]),
+    "surface_partial": lambda u: sc.surface_partial(_SURFACE, 0.5, u, 1, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_parameter_is_a_domain_error(name, bad):
+    _ENTRY_POINTS[name](0.25)
+    with pytest.raises(DomainError, match=f"parameter {bad}"):
+        _ENTRY_POINTS[name](bad)
+
+
 # --- basis derivatives ---
 
 def test_zeroth_derivative_matches_basis(rng):
