@@ -406,7 +406,6 @@ def build_parser():
     p_loft.add_argument("--obj", help="optional OBJ mesh output path")
     p_loft.add_argument("--samples-u", type=int, default=33)
     p_loft.add_argument("--samples-v", type=int, default=65)
-    p_loft.add_argument("--seed", type=int, default=0, help="reserved")
 
     p_curve = sub.add_parser("interp-curve", help="interpolate a single contour")
     p_curve.add_argument("--input", required=True, help="single-row contour file")
@@ -455,6 +454,8 @@ def cmd_loft(args):
         raise _UsageError("alpha and beta must be finite")
     if args.alpha < 0 or args.beta < 0:
         raise _UsageError("alpha and beta must be non-negative")
+    if args.samples_u < 2 or args.samples_v < 2:
+        raise _UsageError("samples-u and samples-v must be >= 2")
     alpha, beta = args.alpha, park_bend_weight(args.degree_v, args.beta)
     if args.method == "park" and alpha == 0 and beta == 0:
         raise _UsageError(

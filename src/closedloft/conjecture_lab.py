@@ -18,7 +18,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .linalg_solve import assemble_closed_system
+from .linalg_solve import assemble_closed_system, rank_report
 from .param_knots import (
     ParameterValues,
     check_conjecture1,
@@ -72,6 +72,8 @@ class TrialConfig:
             raise InvalidInputError(f"unknown parameter sampling law {self.t_sampling!r}")
         if self.d_sampling not in (INSIDE, VIOLATING):
             raise InvalidInputError(f"unknown knot sampling law {self.d_sampling!r}")
+        if not 0.0 < self.rank_tol < 1.0:  # also rejects NaN
+            raise InvalidInputError("rank_tol must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -167,15 +169,13 @@ def _parity_params(params, degree):
 
 def _measure(parity_params, domain, degree, nhat, rank_tol):
     kv = cyclic_knot_vector(domain, degree)
-    matrix, shape = assemble_closed_system(parity_params, kv, nhat)
+    matrix = assemble_closed_system(parity_params, kv, nhat)
     try:
-        s = np.linalg.svd(matrix, compute_uv=False)
+        report = rank_report(matrix, rank_tol)
     except np.linalg.LinAlgError:
         return 0.0, float("nan"), 0, False
-    smax = float(s[0]) if s.size else 0.0
-    smin = float(s[min(shape.rows, shape.cols) - 1]) if s.size else 0.0
-    rank = int(np.sum(s > rank_tol * smax)) if smax > 0 else 0
-    return smin, smax, rank, rank == shape.rows
+    s = report.singular_values
+    return float(s[-1]), float(s[0]), report.rank, report.rank == matrix.shape[0]
 
 
 def _conjecture1_trial(cfg, degree, index):

@@ -2,9 +2,11 @@
 under-determined variant, and the condition-guided knot selection used when
 interpolating against an existing knot vector.
 
-The closed solvers work on the expanded control storage (distinct controls
-followed by the first p repeated); after solving, the wrap rows are snapped
-to exact copies so closure can never drift downstream.
+The closed solvers solve for the n̂+1 distinct controls directly, with the
+folded periodic collocation matrix N·E (see ``periodic_collocation``).  The
+interpolation conditions are stated for the stacked system [N; A], collocation
+rows over wrap-constraint rows; N·E is invertible exactly when [N; A] is.
+Closure holds by construction: there are no wrap copies to snap.
 """
 
 import warnings
@@ -17,13 +19,12 @@ import numpy as np
 from .errors import ContractError, InvalidInputError, PreconditionError, SingularSystemError, ZeroPivotError
 from .linalg_solve import (
     RankReport,
-    assemble_closed_system,
     assemble_open_collocation,
+    periodic_collocation,
     rank_report,
     semi_bandwidth,
     solve_banded_no_pivot,
     solve_dense,
-    stack_closed_rhs,
     stiffness_matrix,
     solve_kkt,
 )
@@ -40,7 +41,6 @@ from .spline_core import (
     as_points,
     bbox_diagonal,
     clamp_closed_curve,
-    closed_curve_from_expanded,
     cyclic_knot_vector,
     eval_curve,
     knot_multiplicities,
@@ -65,7 +65,6 @@ class InterpolationResult:
     max_residual: float
     system: np.ndarray
     condition_ok: Optional[bool] = None
-    wrap_deviation: float = 0.0
 
     @cached_property
     def diagnostics(self) -> RankReport:
@@ -182,17 +181,16 @@ def interpolate_closed_square(problem, check_condition=True):
             stacklevel=2,
         )
     kv = cyclic_knot_vector(problem.domain_knots, p)
-    matrix, _ = assemble_closed_system(problem.params, kv, problem.nhat)
-    rhs = stack_closed_rhs(problem.points, p)
+    matrix = periodic_collocation(problem.params, kv)
     try:
-        expanded = solve_dense(matrix, rhs)
+        ctrl = solve_dense(matrix, problem.points)
     except SingularSystemError as exc:
         raise SingularSystemError(
             "closed system matrix is numerically singular",
             rank_report=exc.rank_report or rank_report(matrix),
             condition_ok=verdict,
         ) from exc
-    return _finish_closed(problem, kv, matrix, expanded, verdict)
+    return _finish_closed(problem, kv, matrix, ctrl, verdict)
 
 
 def interpolate_closed_energy(problem, alpha=None, beta=None, stiff=None):
@@ -221,21 +219,25 @@ def interpolate_closed_energy(problem, alpha=None, beta=None, stiff=None):
             "no subsequence of the domain knots satisfies the closed "
             "interpolation condition; full rank is not guaranteed"
         )
+    import scipy.sparse  # here, not at the top: `import closedloft` stays lean
+
     kv = cyclic_knot_vector(problem.domain_knots, p)
-    matrix, _ = assemble_closed_system(problem.params, kv, problem.nhat)
+    matrix = periodic_collocation(problem.params, kv)
     if stiff is None:
         stiff = stiffness_matrix(kv, 1.0 if alpha is None else alpha, 0.2 if beta is None else beta)
     elif np.shape(stiff) != (kv.n_basis, kv.n_basis):
         raise InvalidInputError("stiffness matrix does not match the knot vector")
-    rhs = stack_closed_rhs(problem.points, p)
-    expanded, _mults = solve_kkt(stiff, matrix, rhs)
-    return _finish_closed(problem, kv, matrix, expanded, True)
+    # EᵀKE: fold rows and columns like the collocation columns; solve_kkt
+    # sums the duplicate entries
+    k = scipy.sparse.coo_array(stiff)
+    m = matrix.shape[1]
+    folded = scipy.sparse.coo_array((k.data, (k.row % m, k.col % m)), shape=(m, m))
+    ctrl, _mults = solve_kkt(folded, matrix, problem.points)
+    return _finish_closed(problem, kv, matrix, ctrl, True)
 
 
-def _finish_closed(problem, kv, matrix, expanded, verdict):
-    p = problem.degree
-    wrap_dev = float(np.linalg.norm(expanded[-p:] - expanded[:p], axis=1).max())
-    curve = closed_curve_from_expanded(kv, expanded)
+def _finish_closed(problem, kv, matrix, ctrl, verdict):
+    curve = BSplineCurve(problem.degree, kv, ctrl, kind="closed")
     residual = float(
         np.linalg.norm(
             eval_curve(curve, problem.params.values) - problem.points, axis=1
@@ -247,7 +249,7 @@ def _finish_closed(problem, kv, matrix, expanded, verdict):
             rank_report=rank_report(matrix),
             condition_ok=verdict,
         )
-    return InterpolationResult(curve, residual, matrix, verdict, wrap_dev)
+    return InterpolationResult(curve, residual, matrix, verdict)
 
 
 def select_domain_knots(params, input_kv, degree, per):

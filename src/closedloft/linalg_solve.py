@@ -50,27 +50,6 @@ def rank_report(matrix, rel_tol=1e-12):
     return RankReport(rank, s, cond, rel_tol)
 
 
-@dataclass(frozen=True)
-class ClosedSystemShape:
-    """Block layout of the closed system matrix [N; A]."""
-
-    n: int      # highest data-point index
-    nhat: int   # highest distinct-control index
-    degree: int
-
-    @property
-    def rows(self):
-        return self.n + self.degree + 1
-
-    @property
-    def cols(self):
-        return self.nhat + self.degree + 1
-
-    @property
-    def top_rows(self):
-        return self.n + 1
-
-
 def assemble_open_collocation(params, kv):
     """Collocation matrix N with N[i, j] = N_{j,p}(t_i) over a clamped knot vector."""
     if kv.style != CLAMPED:
@@ -81,37 +60,52 @@ def assemble_open_collocation(params, kv):
     return _kernels.collocation_matrix(kv.knots, kv.degree, kv.n_basis, t)
 
 
+def _closed_collocation(params, kv):
+    """Cyclic collocation matrix N over all n̂+p+1 expanded basis functions."""
+    if kv.style != CYCLIC:
+        raise InvalidInputError("closed systems require a cyclic knot vector")
+    t = params.values
+    if t[0] < 0.0 or t[-1] >= 1.0:
+        raise InvalidInputError("closed collocation parameters must lie in [0, 1)")
+    return _kernels.collocation_matrix(kv.knots, kv.degree, kv.n_basis, t)
+
+
 def assemble_closed_system(params, kv, nhat):
-    """Closed system matrix: basis rows stacked over the p wrap-constraint rows.
+    """Closed system matrix [N; A]: basis rows stacked over the p wrap-constraint rows.
 
     Row r of the constraint block reads +1 at column r and -1 at column
     n̂+1+r, enforcing the control-point wrap of the cyclic representation.
+    This is the matrix the interpolation conditions are stated for; the
+    solvers use :func:`periodic_collocation`, which has the same rank
+    deficiency.
     """
-    if kv.style != CYCLIC:
-        raise InvalidInputError("closed systems require a cyclic knot vector")
     p = kv.degree
     nhat = int(nhat)
     if kv.n_basis != nhat + p + 1:
         raise InvalidInputError(
             f"knot vector supports {kv.n_basis} basis functions, expected {nhat + p + 1}"
         )
-    t = params.values
-    if t[0] < 0.0 or t[-1] >= 1.0:
-        raise InvalidInputError("closed collocation parameters must lie in [0, 1)")
-    n = t.size - 1
-    shape = ClosedSystemShape(n, nhat, p)
-    matrix = np.zeros((shape.rows, shape.cols))
-    matrix[: shape.top_rows] = _kernels.collocation_matrix(kv.knots, p, shape.cols, t)
+    wrap = np.zeros((p, kv.n_basis))
     for r in range(p):
-        matrix[shape.top_rows + r, r] = 1.0
-        matrix[shape.top_rows + r, nhat + 1 + r] = -1.0
-    return matrix, shape
+        wrap[r, r], wrap[r, nhat + 1 + r] = 1.0, -1.0
+    return np.vstack([_closed_collocation(params, kv), wrap])
 
 
-def stack_closed_rhs(points, degree):
-    """Right-hand side for the closed system: the data points over p zero rows."""
-    pts = np.asarray(points, dtype=float)
-    return np.vstack([pts, np.zeros((degree, pts.shape[1]))])
+def periodic_collocation(params, kv):
+    """Folded closed collocation matrix N·E of size (n+1)×(n̂+1).
+
+    E maps the n̂+1 distinct controls to expanded storage (the distinct
+    controls followed by the first p again), so N·E adds column j of N into
+    column j mod (n̂+1).  It is invertible exactly when [N; A] is: the kernel
+    of A is the range of E, and E is injective.  A row has p+1 consecutive
+    nonzeros, so when n̂+1 > p (every solvable problem) no entry is the sum
+    of two nonzero values and the fold rounds nothing.
+    """
+    matrix = _closed_collocation(params, kv)
+    cols = kv.n_basis - kv.degree
+    for j in range(cols, kv.n_basis):
+        matrix[:, j % cols] += matrix[:, j]
+    return matrix[:, :cols].copy()
 
 
 def solve_dense(matrix, rhs):

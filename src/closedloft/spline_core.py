@@ -274,23 +274,6 @@ class BSplineCurve:
         return self.control_points.shape[0]
 
 
-def closed_curve_from_expanded(kv, expanded, snap=True):
-    """Build a closed curve from expanded (n̂+p+1) solver controls.
-
-    With ``snap`` (default) the wrap rows are discarded and the first p
-    points are authoritative, which keeps the wrap identity exact.
-    """
-    expanded = as_points(expanded)
-    p = kv.degree
-    if expanded.shape[0] != kv.n_basis:
-        raise InvalidInputError("expanded control count does not match knot vector")
-    if not snap:
-        dev = np.linalg.norm(expanded[-p:] - expanded[:p], axis=1).max() if p else 0.0
-        if dev > 1e-9 * max(bbox_diagonal(expanded), 1.0):
-            raise InvalidInputError("expanded controls do not satisfy the wrap identity")
-    return BSplineCurve(p, kv, expanded[: kv.n_basis - p].copy(), kind="closed")
-
-
 def eval_curve(curve, u):
     """Point(s) on the curve; scalar u gives (3,), array u gives (m, 3)."""
     u_arr = np.atleast_1d(np.asarray(u, dtype=float))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from closedloft import cli_io
+from closedloft import cli_io, conjecture_lab, curve_interp, linalg_solve, loft
 from closedloft import spline_core as sc
 from closedloft.errors import InvalidInputError
 
@@ -340,6 +340,30 @@ def test_cmd_loft_piegl(tmp_path):
     assert os.path.exists(obj)
 
 
+def test_lofts_and_closed_curves_never_build_the_stacked_system(tmp_path, monkeypatch):
+    # the row solves use the folded matrix N·E; [N; A] is for the trial harness
+    original = linalg_solve.assemble_closed_system
+
+    def refuse(*args):
+        raise AssertionError("the stacked closed system was built")
+
+    for mod in (cli_io, conjecture_lab, curve_interp, linalg_solve, loft):
+        if getattr(mod, "assemble_closed_system", None) is original:
+            monkeypatch.setattr(mod, "assemble_closed_system", refuse)
+    with pytest.raises(AssertionError):
+        conjecture_lab.run_conjecture1_trials(conjecture_lab.TrialConfig(trials=1, degrees=(3,)))
+    inp = _tube_file(tmp_path, m1=5)
+    for method, per in (("piegl", "1"), ("park", "0"), ("open", "1")):
+        code, _, err = _run(["loft", "--input", inp, "--method", method, "--per", per,
+                             "--output", str(tmp_path / f"{method}.json")])
+        assert code == 0, err
+    ring = _write(tmp_path, "ring.json", json.dumps({"rows": [circle_points(9).tolist()]}))
+    for degree, method in (("3", "natural"), ("2", "shifting")):
+        code, _, err = _run(["interp-curve", "--input", ring, "--closed", "--degree", degree,
+                             "--knot-method", method])
+        assert code == 0, err
+
+
 def test_cmd_loft_bad_per(tmp_path):
     inp = _tube_file(tmp_path)
     code, _, err = _run(["loft", "--input", inp, "--per", "1.5", "--output", "x.json"])
@@ -369,6 +393,18 @@ def test_cmd_loft_non_finite_weights_usage_error(tmp_path, flag, value):
     assert code == 64
     assert "alpha and beta must be finite" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--samples-u", "--samples-v"])
+def test_cmd_loft_bad_samples_usage_error_writes_nothing(tmp_path, flag):
+    inp = _tube_file(tmp_path, m1=5)
+    out, obj = tmp_path / "s.json", tmp_path / "s.obj"
+    code, _, err = _run(
+        ["loft", "--input", inp, "--output", str(out), "--obj", str(obj), flag, "1"]
+    )
+    assert code == 64
+    assert "samples-u and samples-v must be >= 2" in err
+    assert not out.exists() and not obj.exists()
 
 
 def test_cmd_loft_park_degree_v1_drops_bend_weight(tmp_path):
@@ -427,6 +463,11 @@ def test_cmd_loft_missing_file(tmp_path):
 def test_cmd_loft_unknown_flag(tmp_path):
     code, _, _ = _run(["loft", "--nonsense"])
     assert code == 64
+    out = tmp_path / "x.json"
+    code, _, err = _run(["loft", "--input", _tube_file(tmp_path, m1=5), "--output", str(out),
+                         "--seed", "5"])
+    assert code == 64
+    assert "unrecognized arguments: --seed 5" in err and not out.exists()
 
 
 # --- CLI: interp-curve ---
@@ -547,6 +588,18 @@ def test_cmd_verify_stress_flag():
 def test_cmd_verify_zero_trials_usage_error():
     code, _, err = _run(["verify-conjectures", "--trials", "0"])
     assert code == 64
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "2", "1", "0", "-1"])
+def test_cmd_verify_rank_tol_outside_unit_interval_exits_1(tmp_path, tol):
+    out = tmp_path / "report.txt"
+    code, _, err = _run(
+        ["verify-conjectures", "--trials", "2", "--degrees", "3", f"--rank-tol={tol}",
+         "--output", str(out)]
+    )
+    assert code == 1
+    assert "rank_tol must lie in (0, 1)" in err
+    assert not out.exists()
 
 
 def test_cmd_verify_bad_ranges():

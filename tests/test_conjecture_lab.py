@@ -3,8 +3,10 @@ import pytest
 
 from closedloft import cli_io
 from closedloft import conjecture_lab as lab
+from closedloft import linalg_solve as la
 from closedloft import param_knots as pk
 from closedloft import loft as lf
+from closedloft import spline_core as sc
 from closedloft.errors import InvalidInputError
 
 from conftest import tube_rows
@@ -19,6 +21,36 @@ def test_config_validation():
         lab.TrialConfig(n_range=(10, 5))
     with pytest.raises(InvalidInputError):
         lab.TrialConfig(d_sampling="anything")
+    for tol in (float("nan"), float("inf"), 2.0, 1.0, 0.0, -1.0):
+        with pytest.raises(InvalidInputError, match=r"rank_tol must lie in \(0, 1\)"):
+            lab.TrialConfig(rank_tol=tol)
+
+
+def test_folded_rank_is_stacked_rank_minus_degree_on_harness_draws(monkeypatch):
+    # the solvers use N·E, the harness [N; A]: their ranks differ by the p
+    # wrap rows on every configuration the harness draws
+    draws = []
+    measure = lab._measure
+
+    def recording(parity, domain, degree, nhat, rank_tol):
+        out = measure(parity, domain, degree, nhat, rank_tol)
+        draws.append((parity, domain, degree, out[2]))
+        return out
+
+    monkeypatch.setattr(lab, "_measure", recording)
+    for t_law in (lab.UNIFORM_GAP, lab.LOGNORMAL_GAP):
+        for d_law in (lab.INSIDE, lab.VIOLATING):
+            cfg = lab.TrialConfig(trials=75, seed=17, t_sampling=t_law, d_sampling=d_law)
+            lab.run_conjecture1_trials(cfg)
+            lab.run_conjecture2_trials(cfg)
+    assert len(draws) == 2 * 2 * 2 * 4 * 75
+    mismatches = [
+        (degree, domain.size, rank)
+        for parity, domain, degree, rank in draws
+        if la.rank_report(la.periodic_collocation(parity, sc.cyclic_knot_vector(domain, degree)),
+                          1e-12).rank != rank - degree
+    ]
+    assert mismatches == []
 
 
 def test_conjecture1_inside_sampling_no_counterexamples():

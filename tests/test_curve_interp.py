@@ -128,7 +128,49 @@ def test_wrap_identity_exact(rng):
     c = res.curve
     expanded = c.expanded_controls()
     np.testing.assert_array_equal(expanded[-3:], expanded[:3])
-    assert res.wrap_deviation < 1e-9
+
+
+# --- folded solves against the stacked [N; A] solves ---
+
+def _stacked_solve(problem, stiff=None):
+    """Reference: solve [N; A] for the n̂+p+1 expanded controls, square (LU)
+    or by the energy KKT system over the unfolded stiffness."""
+    p = problem.degree
+    kv = sc.cyclic_knot_vector(problem.domain_knots, p)
+    matrix = la.assemble_closed_system(problem.params, kv, problem.nhat)
+    rhs = np.vstack([problem.points, np.zeros((p, 3))])
+    if stiff is None:
+        return la.solve_dense(matrix, rhs)
+    return la.solve_kkt(stiff, matrix, rhs)[0]
+
+
+def _noisy_problem(rng, degree, extra):
+    n1 = int(rng.integers(degree + 3, 20))
+    pts = circle_points(n1, radius=rng.uniform(0.5, 3.0)) + rng.normal(scale=0.05, size=(n1, 3))
+    return _energy_problem(pts, degree, np.sort(rng.uniform(0.03, 0.97, extra)))
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+def test_folded_square_solve_matches_stacked_solve(rng, degree):
+    for _ in range(10):
+        problem = _noisy_problem(rng, degree, 0)
+        res = ci.interpolate_closed_square(problem)
+        ref = _stacked_solve(problem)
+        np.testing.assert_allclose(res.curve.expanded_controls(), ref, rtol=0,
+                                   atol=1e-10 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4, 5])
+def test_folded_energy_solve_matches_stacked_solve(rng, degree):
+    for _ in range(10):
+        problem = _noisy_problem(rng, degree, int(rng.integers(1, 8)))
+        kv = sc.cyclic_knot_vector(problem.domain_knots, degree)
+        stiff = la.stiffness_matrix(kv, 1.0, 0.2)
+        res = ci.interpolate_closed_energy(problem, stiff=stiff)
+        assert res.system.shape == (problem.n + 1, problem.nhat + 1)
+        ref = _stacked_solve(problem, stiff)
+        np.testing.assert_allclose(res.curve.expanded_controls(), ref, rtol=0,
+                                   atol=1e-9 * np.abs(ref).max())
 
 
 # --- closed energy interpolation ---
@@ -160,7 +202,7 @@ def test_energy_circle8_optimality(rng):
     kv = res.curve.knots
     stiff = la.stiffness_matrix(kv, 1.0, 0.2)
     base = la.curve_energy(stiff, res.curve.expanded_controls())
-    matrix, _ = la.assemble_closed_system(problem.params, kv, problem.nhat)
+    matrix = la.assemble_closed_system(problem.params, kv, problem.nhat)
     import scipy.linalg
 
     z = scipy.linalg.null_space(matrix)

@@ -16,6 +16,8 @@ from closedloft import param_knots as pk
 from closedloft import spline_core as sc
 from closedloft.errors import InvalidInputError, SingularSystemError, ZeroPivotError
 
+from conftest import circle_points
+
 
 def _random_open_setup(rng, n1=12, degree=3):
     pts = rng.normal(size=(n1, 3))
@@ -50,28 +52,86 @@ def test_closed_system_shape():
     t = pk.ParameterValues(np.concatenate([[0], np.sort(np.linspace(0.1, 0.9, 7))]))
     domain, _ = pk.closed_knots(t, "natural", 3)
     kv = sc.cyclic_knot_vector(domain, 3)
-    matrix, shape = la.assemble_closed_system(t, kv, 7)
-    assert matrix.shape == (11, 11) == (shape.rows, shape.cols)
+    matrix = la.assemble_closed_system(t, kv, 7)
+    assert matrix.shape == (11, 11)
 
 
 def test_closed_system_wrap_block():
     t = pk.ParameterValues(np.array([0, 0.25, 0.5, 0.75]))
     domain, _ = pk.closed_knots(t, "natural", 2)
     kv = sc.cyclic_knot_vector(domain, 2)
-    matrix, shape = la.assemble_closed_system(t, kv, 3)
-    row0 = matrix[shape.top_rows]
-    expected = np.zeros(shape.cols)
+    matrix = la.assemble_closed_system(t, kv, 3)
+    top = t.values.size
+    row0 = matrix[top]
+    expected = np.zeros(matrix.shape[1])
     expected[0], expected[4] = 1.0, -1.0
     np.testing.assert_array_equal(row0, expected)
-    np.testing.assert_allclose(matrix[: shape.top_rows].sum(axis=1), 1.0, atol=1e-13)
-    np.testing.assert_allclose(matrix[shape.top_rows:].sum(axis=1), 0.0, atol=0)
+    np.testing.assert_allclose(matrix[:top].sum(axis=1), 1.0, atol=1e-13)
+    np.testing.assert_allclose(matrix[top:].sum(axis=1), 0.0, atol=0)
 
 
-def test_closed_rhs_stacking():
-    pts = np.arange(12, dtype=float).reshape(4, 3)
-    rhs = la.stack_closed_rhs(pts, 2)
-    assert rhs.shape == (6, 3)
-    np.testing.assert_array_equal(rhs[4:], 0.0)
+# --- folded (periodic) closed collocation ---
+
+def _wrap_map(nhat, p):
+    """E: distinct controls to expanded storage (the first p repeated)."""
+    eye = np.eye(nhat + 1)
+    return np.vstack([eye, eye[:p]])
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+def test_periodic_collocation_is_n_times_e_exactly(rng, degree):
+    for _ in range(20):
+        n = int(rng.integers(degree + 1, 25))
+        t = pk.ParameterValues(np.unique(np.append(rng.uniform(0.0, 1.0, n), 0.0)))
+        interior = rng.uniform(0.01, 0.99, n + int(rng.integers(0, 6)))
+        domain = np.unique(np.concatenate([[0.0, 1.0], interior]))
+        nhat = domain.size - 2
+        kv = sc.cyclic_knot_vector(domain, degree)
+        stacked = la.assemble_closed_system(t, kv, nhat)
+        folded = la.periodic_collocation(t, kv)
+        assert folded.shape == (t.values.size, nhat + 1)
+        np.testing.assert_array_equal(folded, stacked[: t.values.size] @ _wrap_map(nhat, degree))
+        np.testing.assert_allclose(folded.sum(axis=1), 1.0, atol=1e-13)
+
+
+def test_periodic_collocation_folds_domains_shorter_than_the_degree():
+    # n̂+1 <= p: a column folds onto the same distinct control more than once
+    t = pk.ParameterValues(np.array([0.0, 0.2, 0.45, 0.7, 0.9]))
+    np.testing.assert_allclose(la.periodic_collocation(t, sc.cyclic_knot_vector([0, 1], 3)), 1.0)
+    kv = sc.cyclic_knot_vector([0, 0.4, 1], 4)
+    folded = la.periodic_collocation(t, kv)
+    stacked = la.assemble_closed_system(t, kv, 1)
+    assert folded.shape == (5, 2)
+    np.testing.assert_allclose(folded, stacked[:5] @ np.tile(np.eye(2), (3, 1)), atol=1e-15)
+
+
+def test_periodic_collocation_rejects_bad_input():
+    t = pk.ParameterValues(np.array([0.0, 0.3, 0.6]))
+    with pytest.raises(InvalidInputError, match="cyclic"):
+        la.periodic_collocation(t, sc.clamped_knot_vector([0, 0.5, 1], 1))
+    with pytest.raises(InvalidInputError, match=r"\[0, 1\)"):
+        la.periodic_collocation(pk.ParameterValues(np.array([0.0, 0.5, 1.0])),
+                                sc.cyclic_knot_vector([0, 0.3, 0.6, 1], 1))
+
+
+def _rank(matrix):
+    return la.rank_report(matrix).rank
+
+
+def test_periodic_collocation_keeps_the_rank_deficiency():
+    # p+2 parameters in one knot span: [N; A] has rank 9 of 10
+    t = pk.ParameterValues(np.array([0.01, 0.02, 0.03, 0.04, 0.05, 0.3, 0.6]), shifted=True)
+    kv = sc.cyclic_knot_vector(np.linspace(0.0, 1.0, 10), 3)
+    stacked, folded = la.assemble_closed_system(t, kv, 8), la.periodic_collocation(t, kv)
+    assert (_rank(stacked), stacked.shape[0]) == (9, 10)
+    assert (_rank(folded), folded.shape[0]) == (6, 7)
+    # even degree with natural knots on uniform data: rank 13 of 14
+    t = pk.closed_parameters(circle_points(10))
+    domain, _ = pk.closed_knots(t, "natural", 4)
+    kv = sc.cyclic_knot_vector(domain, 4)
+    stacked, folded = la.assemble_closed_system(t, kv, 9), la.periodic_collocation(t, kv)
+    assert (_rank(stacked), stacked.shape[0]) == (13, 14)
+    assert (_rank(folded), folded.shape[0]) == (9, 10)
 
 
 # --- dense solve ---
@@ -326,7 +386,7 @@ def test_kkt_null_space_optimality(rng):
     domain = sc.merge_domain_knots(domain, np.sort(rng.uniform(0.03, 0.97, 4)))
     kv = sc.cyclic_knot_vector(domain, 3)
     k = la.stiffness_matrix(kv, 1.0, 0.2)
-    c, _ = la.assemble_closed_system(t, kv, domain.size - 2)
+    c = la.assemble_closed_system(t, kv, domain.size - 2)
     rhs = rng.normal(size=(c.shape[0], 3))
     rhs[-3:] = 0.0
     p, mult = la.solve_kkt(k, c, rhs)
@@ -369,10 +429,10 @@ def test_kkt_equilibration_solves_fine_closed_systems(rng):
     # below 1 leaves the unscaled saddle matrix numerically singular
     t = pk.ParameterValues(np.linspace(0.0, 1.0, 31)[:-1] + 0.004, shifted=True)
     kv = sc.cyclic_knot_vector(np.linspace(0.0, 1.0, 2001), 3)
-    c, shape = la.assemble_closed_system(t, kv, 1999)
+    c = la.assemble_closed_system(t, kv, 1999)
     k = la.stiffness_matrix(kv, 1.0, 0.2)
-    rhs = np.vstack([rng.normal(size=(shape.top_rows, 3)), np.zeros((3, 3))])
-    kkt = np.block([[k.toarray(), c.T], [c, np.zeros((shape.rows, shape.rows))]])
+    rhs = np.vstack([rng.normal(size=(t.values.size, 3)), np.zeros((3, 3))])
+    kkt = np.block([[k.toarray(), c.T], [c, np.zeros((c.shape[0], c.shape[0]))]])
     with pytest.raises(SingularSystemError):
         la.solve_dense(kkt, np.vstack([np.zeros((kv.n_basis, 3)), rhs]))
     p, mult = la.solve_kkt(k, c, rhs)
@@ -398,10 +458,10 @@ def test_kkt_rank_deficient_closed_constraints(rng):
     # polynomials, give dependent collocation rows
     t = pk.ParameterValues(np.array([0.01, 0.02, 0.03, 0.04, 0.05, 0.3, 0.6]), shifted=True)
     kv = sc.cyclic_knot_vector(np.linspace(0.0, 1.0, 10), 3)
-    c, shape = la.assemble_closed_system(t, kv, 8)
+    c = la.assemble_closed_system(t, kv, 8)
     with pytest.raises(SingularSystemError, match="rank-deficient") as info:
-        la.solve_kkt(la.stiffness_matrix(kv, 1.0, 0.2), c, rng.normal(size=(shape.rows, 3)))
-    assert info.value.rank_report.rank == shape.rows - 1
+        la.solve_kkt(la.stiffness_matrix(kv, 1.0, 0.2), c, rng.normal(size=(c.shape[0], 3)))
+    assert info.value.rank_report.rank == c.shape[0] - 1
 
 
 @pytest.mark.parametrize("stiff", [
@@ -460,5 +520,5 @@ def test_rank_report_full_rank_closed_system(rng):
     t = pk.ParameterValues(np.concatenate([[0], np.sort(rng.uniform(0.03, 0.95, 10))]))
     domain, _ = pk.closed_knots(t, "natural", 3)
     kv = sc.cyclic_knot_vector(domain, 3)
-    matrix, shape = la.assemble_closed_system(t, kv, 10)
-    assert la.rank_report(matrix).rank == shape.rows == 14
+    matrix = la.assemble_closed_system(t, kv, 10)
+    assert la.rank_report(matrix).rank == matrix.shape[0] == 14

@@ -43,7 +43,7 @@ def _run_library(tmp_path):
     argv = ["verify-conjectures", "--trials", "2", "--degrees", "3", "--n-range", "6:8",
             "--nhat-extra", "1:3", "--output", str(tmp_path / "report.txt")]
     assert cli_io.main(argv) == 0
-    # a singular system: of the lofts and trials above, only failures run rank_report
+    # a singular system: its failure report runs rank_report, as every trial above does
     t = pk.closed_parameters(circle_points(10))
     domain, _ = pk.closed_knots(t, "natural", 4)
     with pytest.warns(RuntimeWarning), pytest.raises(SingularSystemError):
