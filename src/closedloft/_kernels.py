@@ -3,6 +3,9 @@ derivatives, collocation rows, and batched curve/surface evaluation.
 
 All kernels take raw float64 arrays.  Knot vectors are the *full* arrays
 (clamped or cyclically extended); callers are responsible for domain checks.
+``find_span``, ``basis_funs`` and ``collocation_matrix`` also take a stack of
+knot rows, shape (B, K), with the parameters as a (B, m) array: row b of the
+parameters is evaluated over knot row b.
 
 Every kernel runs over all of its parameters at once: the Python loops go
 over the degree (or the p+1 local basis indices) only, with the parameters
@@ -13,20 +16,36 @@ them, so each output is the same floating-point value that loop gives.
 import numpy as np
 
 
+def searchsorted_right(a, v):
+    """``np.searchsorted(a, v, "right")`` for a sorted row ``a``, or row by row
+    for a stack of sorted rows (B, K) and values (B, m) or (m,)."""
+    if a.ndim == 1:
+        return np.searchsorted(a, v, "right")
+    if np.ndim(v) == 1:  # one set of values for every row
+        v = np.broadcast_to(v, a.shape[:1] + np.shape(v))
+    # a loop of binary searches beats one (B, m, K) comparison at every B
+    return np.array([np.searchsorted(row, x, "right") for row, x in zip(a, v)])
+
+
 def find_span(knots, degree, u):
     """Index of the half-open knot span holding u (a scalar or an array).
 
     The right domain endpoint maps to the last span (limit from the left)
     so that evaluation at u = 1 is well defined.
     """
-    hi_span = knots.shape[0] - degree - 2
-    return np.clip(np.searchsorted(knots, u, "right") - 1, degree, hi_span)
+    hi_span = knots.shape[-1] - degree - 2
+    # np.minimum/np.maximum, not np.clip, whose Python wrapper costs more
+    # than the search on a short knot row
+    return np.minimum(np.maximum(searchsorted_right(knots, u) - 1, degree), hi_span)
 
 
 def basis_funs(knots, degree, span, u):
     """The p+1 nonzero basis values at u (The NURBS Book, A2.2); shape
     (degree+1,) + ``u``'s shape."""
     u = np.asarray(u, dtype=float)
+    if knots.ndim == 2:  # a stack of knot rows: index its flattened copy
+        span = span + knots.shape[1] * np.arange(knots.shape[0])[:, None]
+        knots = knots.ravel()
     values = np.empty((degree + 1,) + u.shape)
     left = np.empty((degree + 1,) + u.shape)
     right = np.empty((degree + 1,) + u.shape)
@@ -101,12 +120,13 @@ def ders_basis_funs(knots, degree, span, u, order):
 
 
 def collocation_matrix(knots, degree, n_basis, params):
-    out = np.zeros((params.shape[0], n_basis))
+    out = np.zeros(params.shape + (n_basis,))
     spans = find_span(knots, degree, params)
     vals = basis_funs(knots, degree, spans, params)
-    rows = np.arange(params.shape[0])
+    rows = out.reshape(-1, n_basis)  # a view: one row per parameter
+    at = np.arange(params.size)
     for j in range(degree + 1):
-        out[rows, spans - degree + j] = vals[j]
+        rows[at, (spans - degree + j).ravel()] = vals[j].ravel()
     return out
 
 

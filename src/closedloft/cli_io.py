@@ -197,9 +197,10 @@ def _knots_payload(kv):
 
 
 def _knots_from_payload(payload):
-    return KnotVector(
-        np.asarray(payload["values"], dtype=float), int(payload["degree"]), payload["style"]
-    )
+    values = np.asarray(payload["values"], dtype=float)
+    if values.ndim != 1:  # a 2-D array would be read as a stack of knot vectors
+        raise InvalidInputError("knot values must be a flat list of numbers")
+    return KnotVector(values, int(payload["degree"]), payload["style"])
 
 
 def _join_ascii(pieces):
@@ -427,7 +428,8 @@ def build_parser():
     p_ver.add_argument("--nhat-extra", default="1:10", help="A:B inclusive")
     p_ver.add_argument("--rank-tol", type=float, default=1e-12)
     p_ver.add_argument("--stress", action="store_true", help="add a boundary-stress sweep")
-    p_ver.add_argument("--threads", type=int, default=1)
+    p_ver.add_argument("--threads", type=int, default=1,
+                       help="must be >= 1; has no effect (the trials run as one batched pass)")
     p_ver.add_argument("--output", help="report path (default stdout)")
     return parser
 

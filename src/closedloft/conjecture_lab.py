@@ -8,24 +8,27 @@ rank-deficient at the configured tolerance; the harness hunts for them and
 reports aggregate statistics.
 
 Trials are reproducible and order-independent: trial (degree, index) draws
-from ``Philox(SeedSequence(entropy=seed, spawn_key=(degree, index)))``, so
-parallel execution cannot change a report.
+from ``Philox(SeedSequence(entropy=seed, spawn_key=(degree, index)))``.  A
+run first draws every trial from its own stream, then measures the draws in
+groups of equal (degree, n, n̂): one condition test, one stacked [N; A]
+assembly and one stacked SVD per group.  Every step works row by row with
+the arithmetic of a single trial, so a record does not depend on which
+trials share its group.
 """
 
-from concurrent.futures import ThreadPoolExecutor
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .linalg_solve import assemble_closed_system, rank_report
 from .param_knots import (
     ParameterValues,
-    check_conjecture1,
-    check_conjecture2,
-    condition_brackets,
+    bracket_bounds,
     exhaustive_witness_exists,
-    shift_parameters,
+    greedy_witness_scan,
+    knots_inside_brackets,
 )
 from .spline_core import cyclic_knot_vector
 from .errors import InvalidInputError
@@ -68,6 +71,12 @@ class TrialConfig:
             raise InvalidInputError("degrees must be >= 2")
         if self.n_range[0] > self.n_range[1] or self.nhat_extra[0] > self.nhat_extra[1]:
             raise InvalidInputError("empty sampling range")
+        if self.n_range[1] < max(self.degrees) + 1:
+            raise InvalidInputError(
+                f"n_range upper bound must be >= max(degrees) + 1 = {max(self.degrees) + 1}"
+            )
+        if self.nhat_extra[0] < 0:
+            raise InvalidInputError("nhat_extra must be non-negative")
         if self.t_sampling not in (UNIFORM_GAP, LOGNORMAL_GAP):
             raise InvalidInputError(f"unknown parameter sampling law {self.t_sampling!r}")
         if self.d_sampling not in (INSIDE, VIOLATING):
@@ -146,6 +155,7 @@ def _trial_rng(seed, degree, index):
 
 
 def _sample_parameters(rng, n, law):
+    """Unshifted parameter values t_0 = 0 < ... < t_n < 1."""
     if law == UNIFORM_GAP:
         gaps = rng.uniform(0.05, 1.0, n + 1)
     else:
@@ -153,8 +163,7 @@ def _sample_parameters(rng, n, law):
     gaps = gaps / gaps.sum()
     gaps = np.maximum(gaps, 1e-4)  # keep bracket widths numerically meaningful
     gaps = gaps / gaps.sum()
-    t = np.concatenate([[0.0], np.cumsum(gaps[:-1])])
-    return ParameterValues(t)
+    return np.concatenate([[0.0], np.cumsum(gaps[:-1])])
 
 
 def _sample_inside(rng, lo, hi):
@@ -163,76 +172,123 @@ def _sample_inside(rng, lo, hi):
     return rng.uniform(lo + delta, hi - delta)
 
 
-def _parity_params(params, degree):
-    return shift_parameters(params) if degree % 2 == 0 else params
+def _parity_draw(rng, n, law, degree):
+    """Parameters in the parity form of the condition (shifted for even
+    degree, by the arithmetic of ``shift_parameters``) and their brackets."""
+    t = _sample_parameters(rng, n, law)
+    if degree % 2 == 0:
+        t = t + (1.0 - t[-1]) / 2.0
+    return (t,) + bracket_bounds(t, degree)
 
 
-def _measure(parity_params, domain, degree, nhat, rank_tol):
-    kv = cyclic_knot_vector(domain, degree)
-    matrix = assemble_closed_system(parity_params, kv, nhat)
-    try:
-        report = rank_report(matrix, rank_tol)
-    except np.linalg.LinAlgError:
-        return 0.0, float("nan"), 0, False
-    s = report.singular_values
-    return float(s[-1]), float(s[0]), report.rank, report.rank == matrix.shape[0]
+class _Draw(NamedTuple):
+    """One sampled configuration, before any measurement."""
+
+    degree: int
+    index: int
+    params: np.ndarray  # parity-form parameter values
+    domain: np.ndarray
+    epsilon: Optional[float] = None
 
 
-def _conjecture1_trial(cfg, degree, index):
+def _draw_conjecture1(cfg, degree, index):
     rng = _trial_rng(cfg.seed, degree, index)
     n = int(rng.integers(max(cfg.n_range[0], degree + 1), cfg.n_range[1] + 1))
-    params = _sample_parameters(rng, n, cfg.t_sampling)
-    parity = _parity_params(params, degree)
-    lo, hi = condition_brackets(parity, degree)
+    t, lo, hi = _parity_draw(rng, n, cfg.t_sampling, degree)
     interior = _sample_inside(rng, lo, hi)
     if cfg.d_sampling == VIOLATING:
         j = int(rng.integers(1, n + 1))
         upper = interior[j] if j < n else 1.0  # next knot bounds the excursion
         interior[j - 1] = hi[j - 1] + rng.uniform(0.1, 0.9) * (upper - hi[j - 1])
-    domain = np.concatenate([[0.0], interior, [1.0]])
-    condition = check_conjecture1(parity, domain, degree)
-    smin, smax, rank, full = _measure(parity, domain, degree, n, cfg.rank_tol)
-    return TrialRecord(degree, index, n, n, condition, smin, smax, rank, full)
+    return _Draw(degree, index, t, np.concatenate([[0.0], interior, [1.0]]))
 
 
-def _conjecture2_trial(cfg, degree, index):
+def _draw_conjecture2(cfg, degree, index):
     rng = _trial_rng(cfg.seed, degree, index)
     n = int(rng.integers(max(cfg.n_range[0], degree + 1), cfg.n_range[1] + 1))
     extra = int(rng.integers(cfg.nhat_extra[0], cfg.nhat_extra[1] + 1))
-    params = _sample_parameters(rng, n, cfg.t_sampling)
-    parity = _parity_params(params, degree)
-    lo, hi = condition_brackets(parity, degree)
+    t, lo, hi = _parity_draw(rng, n, cfg.t_sampling, degree)
     if cfg.d_sampling == VIOLATING:
         # every interior knot below the first bracket: no feasible subsequence
         interior = np.sort(rng.uniform(1e-4, lo[0] * 0.9, n + extra))
     else:
         witness = _sample_inside(rng, lo, hi)
         distractors = rng.uniform(0.002, 0.998, extra)
-        keep = [
-            x for x in distractors
-            if np.abs(witness - x).min() > 1e-5
-        ]
+        keep = distractors[np.abs(witness[:, None] - distractors).min(axis=0) > 1e-5]
         interior = np.sort(np.concatenate([witness, keep]))
         tight = np.diff(interior) <= 1e-6
         if np.any(tight):  # drop distractors that crowd a witness knot
             interior = np.delete(interior, np.nonzero(tight)[0] + 1)
-    domain = np.concatenate([[0.0], interior, [1.0]])
-    nhat = domain.size - 2
-    condition, _witness = check_conjecture2(parity, domain, degree)
-    agrees = None
-    if n <= EXHAUSTIVE_LIMIT_N:
-        agrees = condition == exhaustive_witness_exists(parity, domain, degree)
-    smin, smax, rank, full = _measure(parity, domain, degree, nhat, cfg.rank_tol)
-    return TrialRecord(degree, index, n, nhat, condition, smin, smax, rank, full, agrees)
+    return _Draw(degree, index, t, np.concatenate([[0.0], interior, [1.0]]))
 
 
-def _run(cfg, trial_fn, threads=1):
-    jobs = [(degree, i) for degree in cfg.degrees for i in range(cfg.trials)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(lambda di: trial_fn(cfg, *di), jobs))
-    else:
-        records = [trial_fn(cfg, degree, i) for degree, i in jobs]
+def _singular_summaries(matrices, rank_tol):
+    """(σ_min, σ_max, rank, full rank) of each matrix of a stack, from one
+    stacked SVD.  If that SVD fails, the stack is redone one matrix at a
+    time, and only a matrix whose own SVD fails records (0.0, nan, 0, False).
+    """
+    try:
+        report = rank_report(matrices, rank_tol)
+    except np.linalg.LinAlgError:
+        if matrices.ndim == 2:
+            return [(0.0, float("nan"), 0, False)]
+        return [out for matrix in matrices for out in _singular_summaries(matrix, rank_tol)]
+    s = np.atleast_2d(report.singular_values)
+    rows = matrices.shape[-2]
+    return [
+        (float(smin), float(smax), int(rank), int(rank) == rows)
+        for smin, smax, rank in zip(s[:, -1], s[:, 0], np.atleast_1d(report.rank))
+    ]
+
+
+def _measure_draws(draws, conjecture, rank_tol):
+    """Records of the draws, in draw order, measured one (p, n, n̂) group at
+    a time.
+
+    Building the group's cyclic knot vectors checks its domains as
+    ``validate_domain_knots`` does.  The condition is then the bracket test
+    of ``check_conjecture1`` (conjecture 1) or the greedy scan of
+    ``check_conjecture2`` (conjecture 2).  For conjecture 2 with
+    n <= ``EXHAUSTIVE_LIMIT_N`` each trial's verdict is also checked against
+    exhaustive search.
+    """
+    groups = defaultdict(list)
+    for k, draw in enumerate(draws):
+        groups[draw.degree, draw.params.size - 1, draw.domain.size - 2].append(k)
+    records = [None] * len(draws)
+    for (degree, n, nhat), members in groups.items():
+        shifted = degree % 2 == 0
+        params = np.array([draws[k].params for k in members])
+        kv = cyclic_knot_vector(np.array([draws[k].domain for k in members]), degree)
+        matrices = assemble_closed_system(ParameterValues(params, shifted=shifted), kv, nhat)
+        summaries = _singular_summaries(matrices, rank_tol)
+        lo, hi = bracket_bounds(params, degree)
+        interior = kv.domain_knots[:, 1:-1]
+        if conjecture == 1:
+            conditions = knots_inside_brackets(interior, lo, hi)
+        else:
+            conditions = greedy_witness_scan(interior, lo, hi)[0]
+        for k, condition, summary in zip(members, conditions.tolist(), summaries):
+            draw = draws[k]
+            agrees = None
+            if conjecture == 2 and n <= EXHAUSTIVE_LIMIT_N:
+                parity = ParameterValues(draw.params, shifted=shifted)
+                agrees = condition == exhaustive_witness_exists(parity, draw.domain, degree)
+            records[k] = TrialRecord(
+                degree, draw.index, n, nhat, condition, *summary, agrees, draw.epsilon
+            )
+    return records
+
+
+def _run(cfg, draw, threads=1):
+    """Draw and measure ``cfg.trials`` trials per degree.  ``threads`` is
+    checked and otherwise ignored: the measurement is one batched pass."""
+    if threads < 1:
+        raise InvalidInputError("threads must be >= 1")
+    records = []
+    for degree in cfg.degrees:  # one degree at a time bounds the draws held
+        draws = [draw(cfg, degree, i) for i in range(cfg.trials)]
+        records.extend(_measure_draws(draws, cfg.conjecture, cfg.rank_tol))
     return TrialReport(cfg, records)
 
 
@@ -240,7 +296,7 @@ def run_conjecture1_trials(cfg, threads=1):
     """Square systems with knots sampled against the invertibility condition."""
     if cfg.conjecture != 1:
         cfg = TrialConfig(**{**cfg.__dict__, "conjecture": 1})
-    return _run(cfg, _conjecture1_trial, threads)
+    return _run(cfg, _draw_conjecture1, threads)
 
 
 def run_conjecture2_trials(cfg, threads=1):
@@ -248,7 +304,7 @@ def run_conjecture2_trials(cfg, threads=1):
     witness scan is cross-checked against exhaustive search for small n."""
     if cfg.conjecture != 2:
         cfg = TrialConfig(**{**cfg.__dict__, "conjecture": 2})
-    return _run(cfg, _conjecture2_trial, threads)
+    return _run(cfg, _draw_conjecture2, threads)
 
 
 def boundary_stress(cfg, epsilons):
@@ -262,13 +318,11 @@ def boundary_stress(cfg, epsilons):
     eps = [float(e) for e in epsilons]
     if any(e < 0 for e in eps):
         raise InvalidInputError("epsilon ladder must be non-negative")
-    records = []
+    draws = []
     for degree in cfg.degrees:
         rng = _trial_rng(cfg.seed, degree, 0)
         n = int(max((cfg.n_range[0] + cfg.n_range[1]) // 2, degree + 1))
-        params = _sample_parameters(rng, n, cfg.t_sampling)
-        parity = _parity_params(params, degree)
-        lo, hi = condition_brackets(parity, degree)
+        t, lo, hi = _parity_draw(rng, n, cfg.t_sampling, degree)
         mid = (lo + hi) / 2.0
         j = n // 2
         for k, e in enumerate(eps):
@@ -277,9 +331,5 @@ def boundary_stress(cfg, epsilons):
             domain = np.concatenate([[0.0], interior, [1.0]])
             if np.any(np.diff(domain) <= 0):
                 continue  # epsilon pushed the knot past a neighbour
-            condition = check_conjecture1(parity, domain, degree)
-            smin, smax, rank, full = _measure(parity, domain, degree, n, cfg.rank_tol)
-            records.append(
-                TrialRecord(degree, k, n, n, condition, smin, smax, rank, full, None, e)
-            )
-    return TrialReport(cfg, records)
+            draws.append(_Draw(degree, k, t, domain, e))
+    return TrialReport(cfg, _measure_draws(draws, 1, cfg.rank_tol))

@@ -26,7 +26,11 @@ PIVOT_TOL = 1e-14
 
 @dataclass(frozen=True)
 class RankReport:
-    """Singular-value summary of a matrix."""
+    """Singular-value summary of a matrix.
+
+    For a stack of matrices, ``rank`` and ``condition`` are arrays over the
+    stack and ``singular_values`` has one row per matrix.
+    """
 
     rank: int
     singular_values: np.ndarray
@@ -40,13 +44,25 @@ class RankReport:
 
 
 def rank_report(matrix, rel_tol=1e-12):
-    """Rank and condition estimate via singular values (LAPACK bidiagonalization)."""
+    """Rank and condition estimate via singular values (LAPACK bidiagonalization).
+
+    ``matrix`` may carry leading stack axes; one stacked SVD then serves the
+    whole stack, and each matrix gets the singular values a call on it alone
+    gives.
+    """
     m = np.asarray(matrix, dtype=float)
     s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return RankReport(0, s, float("inf"), rel_tol)
-    rank = int(np.sum(s > rel_tol * s[0]))
-    cond = float(s[0] / s[-1]) if s[-1] > 0 else float("inf")
+    if s.shape[-1] == 0:
+        top = bottom = np.zeros(s.shape[:-1])
+    else:
+        top, bottom = s[..., 0], s[..., -1]
+    live = top > 0.0  # a zero (or NaN) top singular value means rank 0
+    rank = np.where(live, np.sum(s > rel_tol * top[..., None], axis=-1), 0)
+    cond = np.full(top.shape, np.inf)
+    finite = live & (bottom > 0)
+    cond[finite] = top[finite] / bottom[finite]
+    if m.ndim == 2:
+        return RankReport(int(rank), s, float(cond), rel_tol)
     return RankReport(rank, s, cond, rel_tol)
 
 
@@ -61,12 +77,15 @@ def assemble_open_collocation(params, kv):
 
 
 def _closed_collocation(params, kv):
-    """Cyclic collocation matrix N over all n̂+p+1 expanded basis functions."""
+    """Cyclic collocation matrix N over all n̂+p+1 expanded basis functions;
+    stacked parameters and knot vectors give a stack of matrices."""
     if kv.style != CYCLIC:
         raise InvalidInputError("closed systems require a cyclic knot vector")
     t = params.values
-    if t[0] < 0.0 or t[-1] >= 1.0:
+    if np.any(t[..., 0] < 0.0) or np.any(t[..., -1] >= 1.0):
         raise InvalidInputError("closed collocation parameters must lie in [0, 1)")
+    if t.shape[:-1] != kv.knots.shape[:-1]:
+        raise InvalidInputError("parameter and knot stacks differ in length")
     return _kernels.collocation_matrix(kv.knots, kv.degree, kv.n_basis, t)
 
 
@@ -77,7 +96,8 @@ def assemble_closed_system(params, kv, nhat):
     n̂+1+r, enforcing the control-point wrap of the cyclic representation.
     This is the matrix the interpolation conditions are stated for; the
     solvers use :func:`periodic_collocation`, which has the same rank
-    deficiency.
+    deficiency.  Stacked parameters (B, n+1) and a stacked knot vector
+    (B, n̂+2p+2) give the B matrices as one (B, n+1+p, n̂+p+1) array.
     """
     p = kv.degree
     nhat = int(nhat)
@@ -85,10 +105,11 @@ def assemble_closed_system(params, kv, nhat):
         raise InvalidInputError(
             f"knot vector supports {kv.n_basis} basis functions, expected {nhat + p + 1}"
         )
-    wrap = np.zeros((p, kv.n_basis))
+    basis = _closed_collocation(params, kv)
+    wrap = np.zeros(basis.shape[:-2] + (p, kv.n_basis))
     for r in range(p):
-        wrap[r, r], wrap[r, nhat + 1 + r] = 1.0, -1.0
-    return np.vstack([_closed_collocation(params, kv), wrap])
+        wrap[..., r, r], wrap[..., r, nhat + 1 + r] = 1.0, -1.0
+    return np.concatenate([basis, wrap], axis=-2)
 
 
 def periodic_collocation(params, kv):

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import searchsorted_right
 from .errors import ContractError, InvalidInputError
 from .spline_core import (
     KNOT_TOL,
@@ -37,7 +38,9 @@ class ParameterValues:
     """Assigned parameters t_0 .. t_n (or the shifted t̃_i for even degree).
 
     ``exponent`` records the e of the general exponent form used to compute
-    them (1 = chord length, 0.5 = centripetal).
+    them (1 = chord length, 0.5 = centripetal).  A 2-D ``values`` is a stack
+    of parameter sequences of one length, one per row; every row must pass
+    the checks.
     """
 
     values: np.ndarray
@@ -47,29 +50,29 @@ class ParameterValues:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", v)
-        if v.ndim != 1 or v.size < 2:
+        if v.ndim not in (1, 2) or v.shape[-1] < 2:
             raise InvalidInputError("parameter values must be a 1-D sequence, length >= 2")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise InvalidInputError("parameter values must be finite")
-        if np.any(np.diff(v) <= 0):
+        if (v[..., 1:] <= v[..., :-1]).any():  # finite, so the same as diff <= 0
             raise InvalidInputError("parameter values must be strictly increasing")
         if not 0.0 < self.exponent <= 1.0:
             raise InvalidInputError("exponent must lie in (0, 1]")
         if self.shifted:
-            if v[0] <= 0.0 or v[-1] >= 1.0:
+            if (v[..., 0] <= 0.0).any() or (v[..., -1] >= 1.0).any():
                 raise InvalidInputError("shifted parameters must lie strictly inside (0, 1)")
         else:
-            if v[0] != 0.0:
+            if (v[..., 0] != 0.0).any():
                 raise InvalidInputError("unshifted parameters must start at t_0 = 0")
-            if v[-1] > 1.0:
+            if (v[..., -1] > 1.0).any():
                 raise InvalidInputError("parameters must not exceed 1")
 
     @property
     def n(self):
-        return self.values.size - 1
+        return self.values.shape[-1] - 1
 
     def __len__(self):
-        return self.values.size
+        return self.values.shape[-1]
 
 
 def _wrap_chords(points):
@@ -220,17 +223,52 @@ def condition_brackets(params, degree):
     degree takes shifted parameters (consecutive t̃ brackets).  The two forms
     coincide with the anchor bounds.
     """
-    p = int(degree)
-    t = params.values
-    if p % 2 == 1:
+    if int(degree) % 2 == 1:
         if params.shifted:
             raise ContractError("odd degree uses unshifted parameters")
-        ext = np.concatenate([t, [1.0]])
-        mids = (ext[:-1] + ext[1:]) / 2.0
-        return mids[:-1], mids[1:]
-    if not params.shifted:
+    elif not params.shifted:
         raise ContractError("even degree uses shifted parameters")
-    return t[:-1], t[1:]
+    return bracket_bounds(params.values, degree)
+
+
+def bracket_bounds(t, degree):
+    """:func:`condition_brackets` from raw parameter values ``t`` (unshifted
+    for odd degree, shifted for even), unchecked; over the last axis, so
+    ``t`` may be a stack of rows."""
+    if int(degree) % 2 == 1:
+        ext = np.concatenate([t, np.ones(t.shape[:-1] + (1,))], axis=-1)
+        mids = (ext[..., :-1] + ext[..., 1:]) / 2.0
+        return mids[..., :-1], mids[..., 1:]
+    return t[..., :-1], t[..., 1:]
+
+
+def knots_inside_brackets(interior, lo, hi):
+    """The strict bracket test of :func:`check_conjecture1` over the last
+    axis: every interior knot more than ``STRICT_TOL`` inside its bracket."""
+    return np.all(interior > lo + STRICT_TOL, axis=-1) & np.all(interior < hi - STRICT_TOL, axis=-1)
+
+
+def greedy_witness_scan(candidates, lo, hi):
+    """The greedy scan of :func:`check_conjecture2` over the last axis.
+
+    Bracket i takes the earliest candidate after the one bracket i-1 took
+    that exceeds lo_i + ``STRICT_TOL``.  With s_i the count of candidates at
+    or below that bound, the pick is idx_i = max(idx_{i-1} + 1, s_i), so
+    idx_i - i is the running maximum of s_j - j.  Returns ``(ok, idx)``: ok
+    when every pick exists and lies below hi_i - ``STRICT_TOL``.  The
+    candidates must be sorted along the last axis, as domain knots are.
+    """
+    n, size = lo.shape[-1], candidates.shape[-1]
+    if size < n:
+        return np.zeros(lo.shape[:-1], dtype=bool), None
+    k = np.arange(n)
+    idx = np.maximum.accumulate(searchsorted_right(candidates, lo + STRICT_TOL) - k, axis=-1) + k
+    # row by row through the flattened candidates; a pick past the end reads
+    # the last candidate of its row and fails on idx < size
+    lead = idx.shape[:-1]
+    rows = size * np.arange(int(np.prod(lead))).reshape(lead + (1,))
+    picked = candidates.reshape(-1)[np.minimum(idx, size - 1) + rows]
+    return ((idx < size) & (picked < hi - STRICT_TOL)).all(axis=-1), idx
 
 
 def check_conjecture1(params, domain_knots, degree):
@@ -246,8 +284,7 @@ def check_conjecture1(params, domain_knots, degree):
         raise InvalidInputError(
             f"domain knots must have n+2 = {lo.size + 2} entries, got {d.size}"
         )
-    interior = d[1:-1]
-    return bool(np.all(interior > lo + STRICT_TOL) and np.all(interior < hi - STRICT_TOL))
+    return bool(knots_inside_brackets(d[1:-1], lo, hi))
 
 
 def check_conjecture2(params, domain_knots, degree):
@@ -255,25 +292,17 @@ def check_conjecture2(params, domain_knots, degree):
     square condition; returns (verdict, witness domain knots or None).
 
     The witness is found by a greedy left-to-right scan picking the earliest
-    feasible knot per bracket, which is exact for these ordered brackets
-    (verified against exhaustive search in the tests).
+    feasible knot per bracket (:func:`greedy_witness_scan`, one numpy pass),
+    which is exact for these ordered brackets (verified against exhaustive
+    search in the tests).
     """
     d = validate_domain_knots(domain_knots)
     lo, hi = condition_brackets(params, degree)
-    n = lo.size
-    if d.size < n + 2:
-        return False, None
     candidates = d[1:-1]
-    chosen = np.empty(n)
-    idx = 0
-    for i in range(n):
-        while idx < candidates.size and candidates[idx] <= lo[i] + STRICT_TOL:
-            idx += 1
-        if idx >= candidates.size or candidates[idx] >= hi[i] - STRICT_TOL:
-            return False, None
-        chosen[i] = candidates[idx]
-        idx += 1
-    return True, np.concatenate([[0.0], chosen, [1.0]])
+    ok, idx = greedy_witness_scan(candidates, lo, hi)
+    if not ok:
+        return False, None
+    return True, np.concatenate([[0.0], candidates[idx], [1.0]])
 
 
 def exhaustive_witness_exists(params, domain_knots, degree):

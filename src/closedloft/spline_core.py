@@ -51,16 +51,19 @@ def bbox_diagonal(points):
     return float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
 
 
-def validate_domain_knots(values):
-    """Validate a domain-knot sequence u_0 < ... < u_{n+1} with u_0 = 0, u_{n+1} = 1."""
+def validate_domain_knots(values, stacked=False):
+    """Validate a domain-knot sequence u_0 < ... < u_{n+1} with u_0 = 0, u_{n+1} = 1.
+
+    With ``stacked``, ``values`` is a 2-D array and every row must pass.
+    """
     d = np.asarray(values, dtype=float)
-    if d.ndim != 1 or d.size < 2:
+    if d.ndim != (2 if stacked else 1) or d.shape[-1] < 2:
         raise InvalidInputError("domain knots must be a 1-D sequence of length >= 2")
-    if not np.all(np.isfinite(d)):
+    if not np.isfinite(d).all():
         raise InvalidInputError("domain knots must be finite")
-    if abs(d[0]) > 1e-12 or abs(d[-1] - 1.0) > 1e-12:
+    if (np.abs(d[..., 0]) > 1e-12).any() or (np.abs(d[..., -1] - 1.0) > 1e-12).any():
         raise InvalidInputError("domain knots must start at 0 and end at 1")
-    if np.any(np.diff(d) <= 0):
+    if (d[..., 1:] <= d[..., :-1]).any():  # finite, so the same as diff <= 0
         raise InvalidInputError("domain knots must be strictly increasing")
     return d
 
@@ -70,7 +73,10 @@ class KnotVector:
     """A full knot array with its degree and style (clamped or cyclic).
 
     ``knots`` is the complete array including the p+1 repeated end knots
-    (clamped) or the p cyclically-extended knots on each side (cyclic).
+    (clamped) or the p cyclically-extended knots on each side (cyclic).  A
+    2-D ``knots`` is a stack of knot vectors of one degree and style, one per
+    row; every row must pass the checks, and ``size``, ``n_basis`` and
+    ``domain_knots`` describe each row.
     """
 
     knots: np.ndarray
@@ -85,33 +91,35 @@ class KnotVector:
             raise InvalidInputError(f"degree must be >= 1, got {p}")
         if self.style not in (CLAMPED, CYCLIC):
             raise InvalidInputError(f"unknown knot-vector style {self.style!r}")
-        if kv.ndim != 1 or kv.size < 2 * p + 2:
+        if kv.ndim not in (1, 2) or kv.shape[-1] < 2 * p + 2:
             raise InvalidInputError("knot array too short for degree")
-        if np.any(np.diff(kv) < 0):
+        if (kv[..., 1:] < kv[..., :-1]).any():
             raise InvalidInputError("knots must be non-decreasing")
-        lo, hi = kv[p], kv[kv.size - p - 1]
-        if abs(lo) > 1e-12 or abs(hi - 1.0) > 1e-12:
+        lo, hi = kv[..., p], kv[..., kv.shape[-1] - p - 1]
+        if (np.abs(lo) > 1e-12).any() or (np.abs(hi - 1.0) > 1e-12).any():
             raise InvalidInputError("domain must be [0, 1]")
         if self.style == CLAMPED:
-            if np.any(kv[: p + 1] != kv[0]) or np.any(kv[-(p + 1):] != kv[-1]):
+            if (kv[..., : p + 1] != kv[..., :1]).any() or (kv[..., -(p + 1):] != kv[..., -1:]).any():
                 raise InvalidInputError("clamped style requires p+1 equal end knots")
         else:
             self._check_cyclic_extension(kv, p)
 
     @staticmethod
     def _check_cyclic_extension(kv, p):
-        n1 = kv.size - 2 * p - 1  # domain index of u_{n+1}
-        for i in range(1, p + 1):
-            left = kv[p - i]
-            left_ref = kv[p - i + 1] + kv[p + n1 - i] - kv[p + n1 - i + 1]
-            right = kv[p + n1 + i]
-            right_ref = kv[p + n1 + i - 1] + kv[p + i] - kv[p + i - 1]
-            if abs(left - left_ref) > 1e-9 or abs(right - right_ref) > 1e-9:
-                raise InvalidInputError("knots do not satisfy the cyclic extension recurrences")
+        # the recurrences of cyclic_knot_vector for all p knots of a side at
+        # once: knot q < p against q+1, q+n1, q+n1+1; knot r > p+n1 against
+        # r-1, r-n1, r-n1-1
+        n1 = kv.shape[-1] - 2 * p - 1  # domain index of u_{n+1}
+        left = kv[..., :p]
+        left_ref = kv[..., 1: p + 1] + kv[..., n1: n1 + p] - kv[..., n1 + 1: n1 + p + 1]
+        right = kv[..., p + n1 + 1:]
+        right_ref = kv[..., p + n1: 2 * p + n1] + kv[..., p + 1: 2 * p + 1] - kv[..., p: 2 * p]
+        if (np.abs(left - left_ref) > 1e-9).any() or (np.abs(right - right_ref) > 1e-9).any():
+            raise InvalidInputError("knots do not satisfy the cyclic extension recurrences")
 
     @property
     def size(self):
-        return int(self.knots.size)
+        return int(self.knots.shape[-1])
 
     @property
     def n_basis(self):
@@ -121,7 +129,7 @@ class KnotVector:
     @property
     def domain_knots(self):
         """The domain segment u_0 .. u_{n+1} (a view)."""
-        return self.knots[self.degree: self.size - self.degree]
+        return self.knots[..., self.degree: self.size - self.degree]
 
     def interior_count(self):
         """Number of domain knots strictly inside (0, 1), with multiplicity."""
@@ -147,20 +155,21 @@ def cyclic_knot_vector(domain, degree):
 
     The p knots on each side are u_{-i} = u_{-(i-1)} + u_{n-i+1} - u_{n-i+2}
     and u_{n+i+1} = u_{n+i} + u_i - u_{i-1}; the domain segment is preserved
-    verbatim.
+    verbatim.  A 2-D ``domain`` is a stack of domains of one length; each row
+    is extended by the same recurrences into a stacked :class:`KnotVector`.
     """
-    d = validate_domain_knots(domain)
+    d = validate_domain_knots(domain, stacked=np.ndim(domain) == 2)
     p = int(degree)
     if p < 1:
         raise InvalidInputError(f"degree must be >= 1, got {p}")
-    n1 = d.size - 1  # index of u_{n+1}
-    full = np.empty(d.size + 2 * p)
-    full[p: p + d.size] = d
+    n1 = d.shape[-1] - 1  # index of u_{n+1}
+    full = np.empty(d.shape[:-1] + (d.shape[-1] + 2 * p,))
+    full[..., p: p + n1 + 1] = d
     # The recurrences may reference already-extended knots when the domain is
     # shorter than the degree (e.g. a single span), so index the full array.
     for i in range(1, p + 1):
-        full[p - i] = full[p - i + 1] + full[p + n1 - i] - full[p + n1 - i + 1]
-        full[p + n1 + i] = full[p + n1 + i - 1] + full[p + i] - full[p + i - 1]
+        full[..., p - i] = full[..., p - i + 1] + full[..., p + n1 - i] - full[..., p + n1 - i + 1]
+        full[..., p + n1 + i] = full[..., p + n1 + i - 1] + full[..., p + i] - full[..., p + i - 1]
     return KnotVector(full, p, CYCLIC)
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -535,6 +536,24 @@ def test_cmd_interp_curve_input_knots(tmp_path):
     assert "updated_input_knots" in doc
 
 
+def test_cmd_interp_curve_nested_input_knots_exit_1(tmp_path):
+    inp = _write(
+        tmp_path, "c12.json",
+        json.dumps({"version": 1, "rows": [circle_points(12).tolist()]}),
+    )
+    knots = sc.clamped_knot_vector(np.linspace(0, 1, 14), 3).knots.tolist()
+    kpath = _write(
+        tmp_path, "knots.json",
+        json.dumps({"style": "clamped", "degree": 3, "values": [knots, knots]}),
+    )
+    code, _, err = _run(
+        ["interp-curve", "--input", inp, "--closed", "--degree", "3",
+         "--knot-method", "input", "--input-knots", kpath]
+    )
+    assert code == 1
+    assert "closedloft: invalid input: knot values must be a flat list of numbers" in err
+
+
 def test_cmd_interp_curve_multi_row_rejected(tmp_path):
     inp = _tube_file(tmp_path)
     code, _, err = _run(["interp-curve", "--input", inp, "--closed"])
@@ -600,6 +619,40 @@ def test_cmd_verify_rank_tol_outside_unit_interval_exits_1(tmp_path, tol):
     assert code == 1
     assert "rank_tol must lie in (0, 1)" in err
     assert not out.exists()
+
+
+def test_cmd_verify_stress_report_is_pinned(tmp_path):
+    # the boundary-stress and trial reports of one fixed run, byte for byte
+    out = tmp_path / "report.txt"
+    code, _, _ = _run(
+        ["verify-conjectures", "--which", "both", "--trials", "300", "--seed", "7",
+         "--stress", "--output", str(out)]
+    )
+    assert code == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "86ae03e8362ecc6fe32e4a4726c64ae841e4e9023ab779c7d1c78dada87b9ec0"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--trials", "3", "--degrees", "5", "--n-range", "2:3"],
+     "n_range upper bound must be >= max(degrees) + 1 = 6"),
+    (["--nhat-extra=-1:0", "--which", "2"], "nhat_extra must be non-negative"),
+])
+def test_cmd_verify_sampling_ranges_that_cannot_draw_exit_1(tmp_path, argv, message):
+    out = tmp_path / "report.txt"
+    code, _, err = _run(["verify-conjectures", *argv, "--output", str(out)])
+    assert code == 1
+    assert f"closedloft: invalid input: {message}" in err
+    assert not out.exists()
+
+
+def test_cmd_verify_threads_accepted_and_checked():
+    args = ["verify-conjectures", "--which", "both", "--trials", "10", "--seed", "5"]
+    code, out, _ = _run(args)
+    code4, out4, _ = _run(args + ["--threads", "4"])
+    assert code == code4 == 0 and out == out4
+    code, _, err = _run(args + ["--threads", "0"])
+    assert code == 64 and "threads must be >= 1" in err
 
 
 def test_cmd_verify_bad_ranges():

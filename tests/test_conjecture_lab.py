@@ -24,20 +24,36 @@ def test_config_validation():
     for tol in (float("nan"), float("inf"), 2.0, 1.0, 0.0, -1.0):
         with pytest.raises(InvalidInputError, match=r"rank_tol must lie in \(0, 1\)"):
             lab.TrialConfig(rank_tol=tol)
+    # no n in the range can hold a degree-5 problem (n >= p + 1)
+    with pytest.raises(InvalidInputError, match=r"n_range upper bound must be >= max\(degrees\) \+ 1 = 6"):
+        lab.TrialConfig(degrees=(5,), n_range=(2, 3))
+    with pytest.raises(InvalidInputError, match="nhat_extra must be non-negative"):
+        lab.TrialConfig(conjecture=2, nhat_extra=(-1, 0))
+    lab.TrialConfig(degrees=(2, 5), n_range=(2, 6), nhat_extra=(0, 0))  # the edges pass
+
+
+def test_threads_is_checked():
+    cfg = lab.TrialConfig(trials=5, seed=4)
+    with pytest.raises(InvalidInputError, match="threads must be >= 1"):
+        lab.run_conjecture1_trials(cfg, threads=0)
+    with pytest.raises(InvalidInputError, match="threads must be >= 1"):
+        lab.run_conjecture2_trials(cfg, threads=0)
 
 
 def test_folded_rank_is_stacked_rank_minus_degree_on_harness_draws(monkeypatch):
     # the solvers use N·E, the harness [N; A]: their ranks differ by the p
     # wrap rows on every configuration the harness draws
     draws = []
-    measure = lab._measure
+    measure = lab._measure_draws
 
-    def recording(parity, domain, degree, nhat, rank_tol):
-        out = measure(parity, domain, degree, nhat, rank_tol)
-        draws.append((parity, domain, degree, out[2]))
-        return out
+    def recording(trial_draws, conjecture, rank_tol):
+        records = measure(trial_draws, conjecture, rank_tol)
+        for draw, record in zip(trial_draws, records):
+            parity = pk.ParameterValues(draw.params, shifted=draw.degree % 2 == 0)
+            draws.append((parity, draw.domain, draw.degree, record.rank))
+        return records
 
-    monkeypatch.setattr(lab, "_measure", recording)
+    monkeypatch.setattr(lab, "_measure_draws", recording)
     for t_law in (lab.UNIFORM_GAP, lab.LOGNORMAL_GAP):
         for d_law in (lab.INSIDE, lab.VIOLATING):
             cfg = lab.TrialConfig(trials=75, seed=17, t_sampling=t_law, d_sampling=d_law)
@@ -153,7 +169,7 @@ def test_boundary_stress_midpoint_recovers_interior():
     n = probe.records[0].n
     # reconstruct the half width of the stressed bracket
     params = lab._sample_parameters(lab._trial_rng(cfg.seed, 3, 0), n, cfg.t_sampling)
-    lo, hi = pk.condition_brackets(params, 3)
+    lo, hi = pk.condition_brackets(pk.ParameterValues(params), 3)
     half = (hi[n // 2] - lo[n // 2]) / 2
     rep = lab.boundary_stress(cfg, [half])
     assert rep.records[0].condition
@@ -164,3 +180,66 @@ def test_stress_negative_epsilon_rejected():
     cfg = lab.TrialConfig(conjecture=1, trials=1, seed=1)
     with pytest.raises(InvalidInputError):
         lab.boundary_stress(cfg, [-1e-3])
+
+
+# --- the batched engine: one pass per (p, n, n̂) group ---
+
+def _group_of_harness_shapes(degree, n, extra, count):
+    """``count`` draws of conjecture 2 from the harness with the same
+    (degree, n, n̂): the shapes of one group."""
+    cfg = lab.TrialConfig(conjecture=2, degrees=(degree,), n_range=(n, n), nhat_extra=(extra, extra))
+    draws = [lab._draw_conjecture2(cfg, degree, i) for i in range(4 * count)]
+    nhat = n + extra
+    draws = [d for d in draws if d.domain.size - 2 == nhat][:count]
+    assert len(draws) == count
+    kv = sc.cyclic_knot_vector(np.array([d.domain for d in draws]), degree)
+    params = pk.ParameterValues(np.array([d.params for d in draws]), shifted=degree % 2 == 0)
+    return draws, la.assemble_closed_system(params, kv, nhat)
+
+
+@pytest.mark.parametrize("degree,n,extra", [(2, 6, 0), (3, 17, 0), (4, 40, 0), (5, 23, 7), (3, 9, 10)])
+def test_stacked_assembly_and_svd_equal_one_matrix_at_a_time(degree, n, extra):
+    draws, stack = _group_of_harness_shapes(degree, n, extra, 24)
+    report = la.rank_report(stack, 1e-12)
+    assert report.singular_values.shape == (24, n + 1 + degree)
+    for b, draw in enumerate(draws):
+        parity = pk.ParameterValues(draw.params, shifted=degree % 2 == 0)
+        matrix = la.assemble_closed_system(parity, sc.cyclic_knot_vector(draw.domain, degree), n + extra)
+        assert matrix.tobytes() == stack[b].tobytes()
+        one = la.rank_report(matrix, 1e-12)
+        assert one.singular_values.tobytes() == report.singular_values[b].tobytes()
+        assert (one.rank, one.condition) == (report.rank[b], report.condition[b])
+        assert isinstance(one.rank, int) and isinstance(one.condition, float)
+
+
+def test_stacked_rank_report_edge_rows():
+    stack = np.zeros((3, 4, 5))
+    stack[1, :, :4] = np.eye(4)
+    stack[2, 0, 0] = 1.0
+    report = la.rank_report(stack, 1e-12)
+    assert report.rank.tolist() == [0, 4, 1]
+    assert report.condition.tolist() == [np.inf, 1.0, np.inf]
+
+
+def test_failed_stacked_svd_is_redone_one_matrix_at_a_time(monkeypatch):
+    cfg = lab.TrialConfig(trials=40, seed=12, degrees=(3,), n_range=(6, 9))
+    clean = lab.run_conjecture1_trials(cfg).records
+    real = lab.rank_report
+    calls = []
+
+    def flaky(matrix, rel_tol):
+        calls.append(np.ndim(matrix))
+        if np.ndim(matrix) == 3 or calls.count(2) == 2:  # every stack, and one single matrix
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real(matrix, rel_tol)
+
+    monkeypatch.setattr(lab, "rank_report", flaky)
+    records = lab.run_conjecture1_trials(cfg).records
+    assert calls.count(2) == len(records) == len(clean)  # each matrix redone once
+    changed = [(a, b) for a, b in zip(clean, records) if a != b]
+    assert len(changed) == 1
+    before, after = changed[0]
+    assert (after.sigma_min, after.rank, after.full_rank) == (0.0, 0, False)
+    assert np.isnan(after.sigma_max)
+    assert (after.degree, after.index, after.n, after.condition) == (
+        before.degree, before.index, before.n, before.condition)

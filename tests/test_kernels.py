@@ -9,7 +9,7 @@ comparison is exact.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from closedloft import _kernels
+from closedloft import _kernels, spline_core
 
 
 # --- point-by-point references ---
@@ -152,6 +152,27 @@ def parameters(draw, knots, p, size=None):
 
 
 @st.composite
+def knot_stacks(draw):
+    """(knots (B, K), degree, params (B, m)): B knot vectors of one degree,
+    style and length, with m parameters per row."""
+    p = draw(st.integers(1, 5))
+    interior = draw(st.integers(0, 6))
+    cyclic = draw(st.booleans())
+    m = draw(st.integers(1, 12))
+    rows, params = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        distinct = draw(st.lists(st.floats(0.01, 0.99), min_size=interior, max_size=interior, unique=True))
+        domain = np.concatenate([[0.0], np.sort(distinct), [1.0]])
+        if cyclic:
+            knots = spline_core.cyclic_knot_vector(domain, p).knots
+        else:
+            knots = np.concatenate([np.zeros(p), domain, np.ones(p)])
+        rows.append(knots)
+        params.append(parameters(draw, knots, p, size=m))
+    return np.array(rows), p, np.array(params)
+
+
+@st.composite
 def curve_cases(draw):
     knots, p = draw(knot_vectors())
     us = parameters(draw, knots, p)
@@ -232,3 +253,18 @@ def test_surface_partial(case, du, dv):
     np.testing.assert_array_equal(
         _kernels.surface_partial(*case, du, dv), surface_partial_ref(*case, du, dv)
     )
+
+
+@settings(deadline=None, max_examples=200)
+@given(knot_stacks())
+def test_stacked_knot_rows_equal_row_by_row(case):
+    knots, p, us = case
+    n_basis = knots.shape[1] - p - 1
+    spans = _kernels.find_span(knots, p, us)
+    vals = _kernels.basis_funs(knots, p, spans, us)
+    matrices = _kernels.collocation_matrix(knots, p, n_basis, us)
+    assert matrices.shape == us.shape + (n_basis,)
+    for row, u, span, val, matrix in zip(knots, us, spans, vals.transpose(1, 0, 2), matrices):
+        np.testing.assert_array_equal(span, [find_span_ref(row, p, x) for x in u])
+        np.testing.assert_array_equal(val, _kernels.basis_funs(row, p, span, u))
+        np.testing.assert_array_equal(matrix, collocation_matrix_ref(row, p, n_basis, u))

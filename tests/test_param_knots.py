@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from closedloft import param_knots as pk
 from closedloft.errors import ContractError, InvalidInputError
@@ -8,6 +9,21 @@ from conftest import square_points
 
 
 # --- parameter assignment ---
+
+def test_parameter_stacks_are_checked_row_by_row():
+    stack = pk.ParameterValues(np.array([[0.0, 0.4, 0.8], [0.0, 0.1, 0.5]]))
+    assert stack.n == 2 and len(stack) == 3
+    with pytest.raises(InvalidInputError, match="start at t_0 = 0"):
+        pk.ParameterValues(np.array([[0.0, 0.4, 0.8], [0.1, 0.2, 0.5]]))
+    with pytest.raises(InvalidInputError, match="strictly increasing"):
+        pk.ParameterValues(np.array([[0.0, 0.4, 0.8], [0.0, 0.5, 0.5]]))
+    with pytest.raises(InvalidInputError, match="strictly inside"):
+        pk.ParameterValues(np.array([[0.1, 0.4, 0.8], [0.1, 0.5, 1.0]]), shifted=True)
+    lo, hi = pk.condition_brackets(stack, 3)
+    for row, row_lo, row_hi in zip(stack.values, lo, hi):
+        one_lo, one_hi = pk.condition_brackets(pk.ParameterValues(row), 3)
+        assert (one_lo.tobytes(), one_hi.tobytes()) == (row_lo.tobytes(), row_hi.tobytes())
+
 
 def test_square_closed_parameters_equal_chords():
     t = pk.closed_parameters(square_points())
@@ -211,3 +227,71 @@ def test_greedy_matches_exhaustive(rng):
         assert got == want
         agree += 1
     assert agree > 250
+
+
+def greedy_witness_loop(params, domain_knots, degree):
+    """check_conjecture2 as a bracket-by-bracket loop: the reference for the
+    one-pass scan."""
+    d = np.asarray(domain_knots, dtype=float)
+    lo, hi = pk.condition_brackets(params, degree)
+    n = lo.size
+    if d.size < n + 2:
+        return False, None
+    candidates = d[1:-1]
+    chosen = np.empty(n)
+    idx = 0
+    for i in range(n):
+        while idx < candidates.size and candidates[idx] <= lo[i] + pk.STRICT_TOL:
+            idx += 1
+        if idx >= candidates.size or candidates[idx] >= hi[i] - pk.STRICT_TOL:
+            return False, None
+        chosen[i] = candidates[idx]
+        idx += 1
+    return True, np.concatenate([[0.0], chosen, [1.0]])
+
+
+@st.composite
+def witness_cases(draw):
+    """Parameters, and domain knots drawn from uniform values and the
+    bracket ends lo/hi shifted by 0, ±STRICT_TOL and ±2·STRICT_TOL; half the
+    cases add every bracket midpoint, so that a witness exists."""
+    degree = draw(st.integers(2, 5))
+    n = draw(st.integers(degree, 8))
+    gaps = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n + 1, max_size=n + 1)))
+    t = pk.ParameterValues(np.concatenate([[0.0], np.cumsum(gaps[:-1]) / gaps.sum()]))
+    parity = pk.shift_parameters(t) if degree % 2 == 0 else t
+    lo, hi = pk.condition_brackets(parity, degree)
+    ends = np.concatenate([lo, hi])[:, None] + pk.STRICT_TOL * np.arange(-2, 3)
+    pool = st.one_of(st.floats(0.001, 0.999), st.sampled_from(ends.ravel().tolist()))
+    interior = draw(st.lists(pool, min_size=0, max_size=n + 6))
+    if draw(st.booleans()):
+        interior += ((lo + hi) / 2).tolist()
+    interior = np.unique(interior)
+    interior = interior[(interior > 0.0) & (interior < 1.0)]
+    return parity, np.concatenate([[0.0], interior, [1.0]]), degree
+
+
+@settings(deadline=None, max_examples=400)
+@given(witness_cases())
+def test_greedy_scan_equals_loop_and_exhaustive(case):
+    parity, domain, degree = case
+    ok, witness = pk.check_conjecture2(parity, domain, degree)
+    ref_ok, ref_witness = greedy_witness_loop(parity, domain, degree)
+    assert ok == ref_ok
+    if ok:
+        assert witness.tobytes() == ref_witness.tobytes()
+        assert pk.check_conjecture1(parity, witness, degree)
+    else:
+        assert witness is None
+    assert ok == pk.exhaustive_witness_exists(parity, domain, degree)
+
+
+def test_greedy_scan_over_a_stack_equals_row_by_row(rng):
+    t = pk.ParameterValues(np.array([0.0, 0.2, 0.45, 0.7, 0.9]))
+    lo, hi = pk.condition_brackets(t, 3)
+    candidates = np.sort(rng.uniform(0.01, 0.99, (50, 9)), axis=1)
+    ok, idx = pk.greedy_witness_scan(candidates, lo, hi)
+    for row, verdict, picks in zip(candidates, ok, idx):
+        one_ok, one_idx = pk.greedy_witness_scan(row, lo, hi)
+        assert (one_ok, one_idx.tolist()) == (verdict, picks.tolist())
+    assert 0 < ok.sum() < 50

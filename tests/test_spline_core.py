@@ -36,6 +36,34 @@ def test_cyclic_rejects_degenerate_domain():
         sc.cyclic_knot_vector([0, 0.7, 0.4, 1], 2)
 
 
+@pytest.mark.parametrize("degree", [1, 2, 3, 5])
+@pytest.mark.parametrize("interior", [0, 1, 4, 9])
+def test_cyclic_stack_equals_row_by_row(rng, degree, interior):
+    domains = np.array([
+        np.concatenate([[0.0], np.sort(rng.uniform(0.01, 0.99, interior)), [1.0]]) for _ in range(5)
+    ])
+    stack = sc.cyclic_knot_vector(domains, degree)
+    assert stack.knots.shape == (5, interior + 2 + 2 * degree)
+    assert stack.n_basis == interior + degree + 1
+    np.testing.assert_array_equal(stack.domain_knots, domains)
+    for row, domain in zip(stack.knots, domains):
+        assert row.tobytes() == sc.cyclic_knot_vector(domain, degree).knots.tobytes()
+
+
+def test_stacks_are_checked_row_by_row():
+    good = [0.0, 0.3, 0.6, 1.0]
+    with pytest.raises(InvalidInputError, match="strictly increasing"):
+        sc.cyclic_knot_vector([good, [0.0, 0.6, 0.3, 1.0]], 2)
+    with pytest.raises(InvalidInputError, match="start at 0 and end at 1"):
+        sc.cyclic_knot_vector([good, [0.0, 0.3, 0.6, 0.9]], 2)
+    with pytest.raises(InvalidInputError, match="1-D sequence"):
+        sc.validate_domain_knots([good, good])  # a stack only where asked for
+    knots = sc.cyclic_knot_vector([good, good], 2).knots.copy()
+    knots[1, 0] -= 0.1
+    with pytest.raises(InvalidInputError, match="cyclic extension"):
+        sc.KnotVector(knots, 2, "cyclic")
+
+
 def test_clamped_knot_vector_examples():
     np.testing.assert_array_equal(
         sc.clamped_knot_vector([0, 0.5, 1], 2).knots, [0, 0, 0, 0.5, 1, 1, 1]
