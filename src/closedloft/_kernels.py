@@ -3,9 +3,9 @@ derivatives, collocation rows, and batched curve/surface evaluation.
 
 All kernels take raw float64 arrays.  Knot vectors are the *full* arrays
 (clamped or cyclically extended); callers are responsible for domain checks.
-``find_span``, ``basis_funs`` and ``collocation_matrix`` also take a stack of
-knot rows, shape (B, K), with the parameters as a (B, m) array: row b of the
-parameters is evaluated over knot row b.
+``find_span`` also takes a stack of sorted knot rows, shape (B, K), with the
+parameters as a (B, m) array: row b of the parameters is searched in knot
+row b.
 
 Every kernel runs over all of its parameters at once: the Python loops go
 over the degree (or the p+1 local basis indices) only, with the parameters
@@ -41,11 +41,11 @@ def find_span(knots, degree, u):
 
 def basis_funs(knots, degree, span, u):
     """The p+1 nonzero basis values at u (The NURBS Book, A2.2); shape
-    (degree+1,) + ``u``'s shape."""
+    (degree+1,) + ``u``'s shape.
+
+    Only ``knots[span - degree + 1: span + degree + 1]`` is read, so a batch
+    of knot rows can be passed flattened, each span offset to its row."""
     u = np.asarray(u, dtype=float)
-    if knots.ndim == 2:  # a stack of knot rows: index its flattened copy
-        span = span + knots.shape[1] * np.arange(knots.shape[0])[:, None]
-        knots = knots.ravel()
     values = np.empty((degree + 1,) + u.shape)
     left = np.empty((degree + 1,) + u.shape)
     right = np.empty((degree + 1,) + u.shape)

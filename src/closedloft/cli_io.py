@@ -198,7 +198,7 @@ def _knots_payload(kv):
 
 def _knots_from_payload(payload):
     values = np.asarray(payload["values"], dtype=float)
-    if values.ndim != 1:  # a 2-D array would be read as a stack of knot vectors
+    if values.ndim != 1:  # say so before KnotVector's message about padded batches
         raise InvalidInputError("knot values must be a flat list of numbers")
     return KnotVector(values, int(payload["degree"]), payload["style"])
 

@@ -9,11 +9,13 @@ reports aggregate statistics.
 
 Trials are reproducible and order-independent: trial (degree, index) draws
 from ``Philox(SeedSequence(entropy=seed, spawn_key=(degree, index)))``.  A
-run first draws every trial from its own stream, then measures the draws in
-groups of equal (degree, n, n̂): one condition test, one stacked [N; A]
-assembly and one stacked SVD per group.  Every step works row by row with
-the arithmetic of a single trial, so a record does not depend on which
-trials share its group.
+run first draws every trial of a degree from its own stream, then measures
+all the draws of that degree in one pass over a padded batch, whatever their
+n and n̂: one check of the domains and parameters, one cyclic extension, one
+[N; A] assembly and one condition test for the whole batch, and one stacked
+SVD per distinct matrix shape.  Every step works row by row with the
+arithmetic of a single trial, and each SVD sees the matrices themselves, not
+their padding, so a record does not depend on which trials share its batch.
 """
 
 from collections import defaultdict
@@ -69,6 +71,10 @@ class TrialConfig:
             raise InvalidInputError("trials must be >= 1")
         if not self.degrees or any(p < 2 for p in self.degrees):
             raise InvalidInputError("degrees must be >= 2")
+        if len(set(self.degrees)) != len(self.degrees):
+            raise InvalidInputError("degrees must not repeat")
+        if self.seed < 0:
+            raise InvalidInputError("seed must be non-negative")
         if self.n_range[0] > self.n_range[1] or self.nhat_extra[0] > self.nhat_extra[1]:
             raise InvalidInputError("empty sampling range")
         if self.n_range[1] < max(self.degrees) + 1:
@@ -222,17 +228,18 @@ def _draw_conjecture2(cfg, degree, index):
     return _Draw(degree, index, t, np.concatenate([[0.0], interior, [1.0]]))
 
 
-def _singular_summaries(matrices, rank_tol):
-    """(σ_min, σ_max, rank, full rank) of each matrix of a stack, from one
-    stacked SVD.  If that SVD fails, the stack is redone one matrix at a
-    time, and only a matrix whose own SVD fails records (0.0, nan, 0, False).
+def _stack_summaries(matrices, rank_tol):
+    """(σ_min, σ_max, rank, full rank) of each matrix of an equal-shape
+    stack, from one stacked SVD.  If that SVD fails, the stack is redone one
+    matrix at a time, and only a matrix whose own SVD fails records
+    (0.0, nan, 0, False).
     """
     try:
         report = rank_report(matrices, rank_tol)
     except np.linalg.LinAlgError:
         if matrices.ndim == 2:
             return [(0.0, float("nan"), 0, False)]
-        return [out for matrix in matrices for out in _singular_summaries(matrix, rank_tol)]
+        return [out for matrix in matrices for out in _stack_summaries(matrix, rank_tol)]
     s = np.atleast_2d(report.singular_values)
     rows = matrices.shape[-2]
     return [
@@ -241,42 +248,67 @@ def _singular_summaries(matrices, rank_tol):
     ]
 
 
-def _measure_draws(draws, conjecture, rank_tol):
-    """Records of the draws, in draw order, measured one (p, n, n̂) group at
-    a time.
+def _singular_summaries(matrices, rows, cols, rank_tol):
+    """:func:`_stack_summaries` of matrix b = ``matrices[b, :rows[b],
+    :cols[b]]`` of a zero-padded batch: one stacked SVD per distinct shape,
+    on the matrices themselves, so each gets the bits a call on it alone
+    gives."""
+    shapes = defaultdict(list)
+    for b, shape in enumerate(zip(rows.tolist(), cols.tolist())):
+        shapes[shape].append(b)
+    out = [None] * len(matrices)
+    for (r, c), members in shapes.items():
+        for b, summary in zip(members, _stack_summaries(matrices[members, :r, :c], rank_tol)):
+            out[b] = summary
+    return out
 
-    Building the group's cyclic knot vectors checks its domains as
-    ``validate_domain_knots`` does.  The condition is then the bracket test
-    of ``check_conjecture1`` (conjecture 1) or the greedy scan of
-    ``check_conjecture2`` (conjecture 2).  For conjecture 2 with
-    n <= ``EXHAUSTIVE_LIMIT_N`` each trial's verdict is also checked against
-    exhaustive search.
+
+def _padded(rows, fill):
+    """Rows of different lengths as one array padded with ``fill``, and
+    their lengths."""
+    lengths = np.array([row.size for row in rows])
+    out = np.full((len(rows), lengths.max()), fill)
+    out[np.arange(out.shape[1]) < lengths[:, None]] = np.concatenate(rows)
+    return out, lengths
+
+
+def _measure_degree(draws, conjecture, rank_tol):
+    """Records of the draws of one degree, in draw order, from one pass over
+    the padded batch of all of them.
+
+    Building the cyclic knot vectors checks every domain as
+    ``validate_domain_knots`` does, and ``ParameterValues`` checks every
+    parameter row.  The condition is the bracket test of
+    ``check_conjecture1`` (conjecture 1) or the greedy scan of
+    ``check_conjecture2`` (conjecture 2), each row reduced over its own
+    brackets.  For conjecture 2 with n <= ``EXHAUSTIVE_LIMIT_N`` each
+    trial's verdict is also checked against exhaustive search.
     """
-    groups = defaultdict(list)
-    for k, draw in enumerate(draws):
-        groups[draw.degree, draw.params.size - 1, draw.domain.size - 2].append(k)
-    records = [None] * len(draws)
-    for (degree, n, nhat), members in groups.items():
-        shifted = degree % 2 == 0
-        params = np.array([draws[k].params for k in members])
-        kv = cyclic_knot_vector(np.array([draws[k].domain for k in members]), degree)
-        matrices = assemble_closed_system(ParameterValues(params, shifted=shifted), kv, nhat)
-        summaries = _singular_summaries(matrices, rank_tol)
-        lo, hi = bracket_bounds(params, degree)
-        interior = kv.domain_knots[:, 1:-1]
-        if conjecture == 1:
-            conditions = knots_inside_brackets(interior, lo, hi)
-        else:
-            conditions = greedy_witness_scan(interior, lo, hi)[0]
-        for k, condition, summary in zip(members, conditions.tolist(), summaries):
-            draw = draws[k]
-            agrees = None
-            if conjecture == 2 and n <= EXHAUSTIVE_LIMIT_N:
-                parity = ParameterValues(draw.params, shifted=shifted)
-                agrees = condition == exhaustive_witness_exists(parity, draw.domain, degree)
-            records[k] = TrialRecord(
-                degree, draw.index, n, nhat, condition, *summary, agrees, draw.epsilon
-            )
+    degree = draws[0].degree
+    shifted = degree % 2 == 0
+    # 1.0 after t_n closes each row's last odd-degree bracket at (t_n + 1)/2
+    t, counts = _padded([draw.params for draw in draws], 1.0)
+    # +inf keeps every domain row, and the candidates of the scan, sorted
+    domains, sizes = _padded([draw.domain for draw in draws], np.inf)
+    n, nhat = counts - 1, sizes - 2
+    params = ParameterValues(t, shifted=shifted, lengths=counts)
+    kv = cyclic_knot_vector(domains, degree, lengths=sizes)
+    matrices = assemble_closed_system(params, kv, nhat)
+    summaries = _singular_summaries(matrices, n + 1 + degree, nhat + degree + 1, rank_tol)
+    lo, hi = bracket_bounds(t, degree)
+    if conjecture == 1:
+        conditions = knots_inside_brackets(domains[:, 1: lo.shape[1] + 1], lo, hi, n)
+    else:
+        conditions = greedy_witness_scan(domains[:, 1:], lo, hi, n, nhat)[0]
+    records = []
+    for draw, k, khat, condition, summary in zip(
+        draws, n.tolist(), nhat.tolist(), conditions.tolist(), summaries
+    ):
+        agrees = None
+        if conjecture == 2 and k <= EXHAUSTIVE_LIMIT_N:
+            parity = ParameterValues(draw.params, shifted=shifted)
+            agrees = condition == exhaustive_witness_exists(parity, draw.domain, degree)
+        records.append(TrialRecord(degree, draw.index, k, khat, condition, *summary, agrees, draw.epsilon))
     return records
 
 
@@ -288,7 +320,7 @@ def _run(cfg, draw, threads=1):
     records = []
     for degree in cfg.degrees:  # one degree at a time bounds the draws held
         draws = [draw(cfg, degree, i) for i in range(cfg.trials)]
-        records.extend(_measure_draws(draws, cfg.conjecture, cfg.rank_tol))
+        records.extend(_measure_degree(draws, cfg.conjecture, cfg.rank_tol))
     return TrialReport(cfg, records)
 
 
@@ -318,8 +350,9 @@ def boundary_stress(cfg, epsilons):
     eps = [float(e) for e in epsilons]
     if any(e < 0 for e in eps):
         raise InvalidInputError("epsilon ladder must be non-negative")
-    draws = []
+    records = []
     for degree in cfg.degrees:
+        draws = []
         rng = _trial_rng(cfg.seed, degree, 0)
         n = int(max((cfg.n_range[0] + cfg.n_range[1]) // 2, degree + 1))
         t, lo, hi = _parity_draw(rng, n, cfg.t_sampling, degree)
@@ -332,4 +365,6 @@ def boundary_stress(cfg, epsilons):
             if np.any(np.diff(domain) <= 0):
                 continue  # epsilon pushed the knot past a neighbour
             draws.append(_Draw(degree, k, t, domain, e))
-    return TrialReport(cfg, _measure_draws(draws, 1, cfg.rank_tol))
+        if draws:
+            records.extend(_measure_degree(draws, 1, cfg.rank_tol))
+    return TrialReport(cfg, records)

@@ -17,7 +17,7 @@ import scipy.linalg
 
 from . import _kernels
 from .errors import InvalidInputError, SingularSystemError, ZeroPivotError
-from .spline_core import CYCLIC, CLAMPED
+from .spline_core import CYCLIC, CLAMPED, row_prefix, row_window
 
 # A pivot below this fraction of the largest matrix entry is treated as an
 # exact zero (numerically singular).
@@ -76,16 +76,18 @@ def assemble_open_collocation(params, kv):
     return _kernels.collocation_matrix(kv.knots, kv.degree, kv.n_basis, t)
 
 
-def _closed_collocation(params, kv):
-    """Cyclic collocation matrix N over all n̂+p+1 expanded basis functions;
-    stacked parameters and knot vectors give a stack of matrices."""
+def _check_closed(kv, first, last):
+    """The knot style and parameter range of every closed matrix."""
     if kv.style != CYCLIC:
         raise InvalidInputError("closed systems require a cyclic knot vector")
-    t = params.values
-    if np.any(t[..., 0] < 0.0) or np.any(t[..., -1] >= 1.0):
+    if np.any(first < 0.0) or np.any(last >= 1.0):
         raise InvalidInputError("closed collocation parameters must lie in [0, 1)")
-    if t.shape[:-1] != kv.knots.shape[:-1]:
-        raise InvalidInputError("parameter and knot stacks differ in length")
+
+
+def _closed_collocation(params, kv):
+    """Cyclic collocation matrix N over all n̂+p+1 expanded basis functions."""
+    t = params.values
+    _check_closed(kv, t[0], t[-1])
     return _kernels.collocation_matrix(kv.knots, kv.degree, kv.n_basis, t)
 
 
@@ -96,20 +98,52 @@ def assemble_closed_system(params, kv, nhat):
     n̂+1+r, enforcing the control-point wrap of the cyclic representation.
     This is the matrix the interpolation conditions are stated for; the
     solvers use :func:`periodic_collocation`, which has the same rank
-    deficiency.  Stacked parameters (B, n+1) and a stacked knot vector
-    (B, n̂+2p+2) give the B matrices as one (B, n+1+p, n̂+p+1) array.
+    deficiency.
+
+    A padded batch (parameters and knot vector with ``lengths``, one n̂ per
+    row) gives its B matrices as one zero-padded (B, rows, cols) array:
+    matrix b is ``out[b, :n_b+1+p, :n̂_b+p+1]`` and everything past it is 0.
+    The batch takes one span search per knot row and one ``basis_funs``
+    call over all its parameters, with the arithmetic of one matrix at a
+    time; a single matrix is built as a batch of one.
     """
     p = kv.degree
-    nhat = int(nhat)
-    if kv.n_basis != nhat + p + 1:
+    if (kv.lengths is None) != (params.lengths is None):
+        raise InvalidInputError("a padded batch needs padded parameters and knot vectors")
+    if kv.lengths is None:
+        t, knots = params.values[None], kv.knots[None]
+        counts, sizes = np.array([t.shape[1]]), np.array([knots.shape[1]])
+    else:
+        t, counts, knots, sizes = params.values, params.lengths, kv.knots, kv.lengths
+    nhat = np.broadcast_to(np.asarray(nhat, dtype=int), counts.shape)
+    n_basis = sizes - p - 1
+    bad = np.flatnonzero(n_basis != nhat + p + 1)
+    if bad.size:
         raise InvalidInputError(
-            f"knot vector supports {kv.n_basis} basis functions, expected {nhat + p + 1}"
+            f"knot vector supports {n_basis[bad[0]]} basis functions, expected {nhat[bad[0]] + p + 1}"
         )
-    basis = _closed_collocation(params, kv)
-    wrap = np.zeros(basis.shape[:-2] + (p, kv.n_basis))
-    for r in range(p):
-        wrap[..., r, r], wrap[..., r, nhat + 1 + r] = 1.0, -1.0
-    return np.concatenate([basis, wrap], axis=-2)
+    if t.shape[0] != knots.shape[0]:
+        raise InvalidInputError("parameter and knot batches differ in length")
+    _check_closed(kv, t[:, 0], row_window(t, counts - 1, 1))
+    width = knots.shape[1]
+    valid = row_prefix(counts, t.shape[1])
+    row, col = np.nonzero(valid)  # row-major: each matrix's parameters in order
+    # +inf padding keeps each knot row sorted, so its search sees its own
+    # knots; the minimum is the clip to its own last span
+    live = np.where(row_prefix(sizes, width), knots, np.inf)
+    spans = np.minimum(_kernels.find_span(live, p, t)[valid], (sizes - p - 2)[row])
+    values = _kernels.basis_funs(knots.ravel(), p, spans + width * row, t[valid])
+    out = np.zeros((counts.size, (counts + p).max(), (nhat + p + 1).max()))
+    height, cols = out.shape[1:]
+    flat = out.reshape(-1)
+    at = (row * height + col) * cols + spans - p
+    for j in range(p + 1):
+        flat[at + j] = values[j]
+    r = np.arange(p)
+    wrap = ((np.arange(counts.size) * height + counts)[:, None] + r) * cols + r
+    flat[wrap] = 1.0
+    flat[wrap + (nhat + 1)[:, None]] = -1.0
+    return out if kv.lengths is not None else out[0]
 
 
 def periodic_collocation(params, kv):

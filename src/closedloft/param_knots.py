@@ -12,6 +12,7 @@ selection procedures exploit.
 """
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -20,7 +21,10 @@ from .errors import ContractError, InvalidInputError
 from .spline_core import (
     KNOT_TOL,
     as_points,
+    check_lengths,
     clamped_knot_vector,
+    row_prefix,
+    row_window,
     validate_domain_knots,
 )
 
@@ -38,38 +42,48 @@ class ParameterValues:
     """Assigned parameters t_0 .. t_n (or the shifted t̃_i for even degree).
 
     ``exponent`` records the e of the general exponent form used to compute
-    them (1 = chord length, 0.5 = centripetal).  A 2-D ``values`` is a stack
-    of parameter sequences of one length, one per row; every row must pass
-    the checks.
+    them (1 = chord length, 0.5 = centripetal).  With ``lengths``,
+    ``values`` is a padded 2-D batch: row b holds lengths[b] parameters,
+    then padding that is not checked, and ``n`` is one value per row.  Every
+    row must pass the checks.
     """
 
     values: np.ndarray
     shifted: bool = False
     exponent: float = 1.0
+    lengths: Optional[np.ndarray] = None
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", v)
-        if v.ndim not in (1, 2) or v.shape[-1] < 2:
+        if v.ndim != (1 if self.lengths is None else 2) or v.shape[-1] < 2:
             raise InvalidInputError("parameter values must be a 1-D sequence, length >= 2")
-        if not np.isfinite(v).all():
+        if self.lengths is None:
+            live, last, falls = v, v[-1], v[1:] <= v[:-1]
+        else:
+            n = check_lengths(self.lengths, v.shape[0], v.shape[1], 2)
+            object.__setattr__(self, "lengths", n)
+            valid = row_prefix(n, v.shape[1])
+            live, last = v[valid], row_window(v, n - 1, 1)
+            falls = (v[:, 1:] <= v[:, :-1]) & valid[:, 1:]
+        if not np.isfinite(live).all():
             raise InvalidInputError("parameter values must be finite")
-        if (v[..., 1:] <= v[..., :-1]).any():  # finite, so the same as diff <= 0
+        if falls.any():  # finite, so the same as diff <= 0
             raise InvalidInputError("parameter values must be strictly increasing")
         if not 0.0 < self.exponent <= 1.0:
             raise InvalidInputError("exponent must lie in (0, 1]")
         if self.shifted:
-            if (v[..., 0] <= 0.0).any() or (v[..., -1] >= 1.0).any():
+            if (v[..., 0] <= 0.0).any() or (last >= 1.0).any():
                 raise InvalidInputError("shifted parameters must lie strictly inside (0, 1)")
         else:
             if (v[..., 0] != 0.0).any():
                 raise InvalidInputError("unshifted parameters must start at t_0 = 0")
-            if (v[..., -1] > 1.0).any():
+            if (last > 1.0).any():
                 raise InvalidInputError("parameters must not exceed 1")
 
     @property
     def n(self):
-        return self.values.shape[-1] - 1
+        return self.values.shape[-1] - 1 if self.lengths is None else self.lengths - 1
 
     def __len__(self):
         return self.values.shape[-1]
@@ -234,7 +248,9 @@ def condition_brackets(params, degree):
 def bracket_bounds(t, degree):
     """:func:`condition_brackets` from raw parameter values ``t`` (unshifted
     for odd degree, shifted for even), unchecked; over the last axis, so
-    ``t`` may be a stack of rows."""
+    ``t`` may be a batch of rows.  A row padded with 1.0 after its t_n gets
+    its own brackets first: for odd degree the last one ends at
+    (t_n + 1)/2, as for the row alone."""
     if int(degree) % 2 == 1:
         ext = np.concatenate([t, np.ones(t.shape[:-1] + (1,))], axis=-1)
         mids = (ext[..., :-1] + ext[..., 1:]) / 2.0
@@ -242,13 +258,21 @@ def bracket_bounds(t, degree):
     return t[..., :-1], t[..., 1:]
 
 
-def knots_inside_brackets(interior, lo, hi):
+def _all_within(ok, n):
+    """``ok.all(axis=-1)``, or over the first n[b] entries of row b."""
+    if n is not None:
+        ok = ok | ~row_prefix(n, ok.shape[-1])
+    return ok.all(axis=-1)
+
+
+def knots_inside_brackets(interior, lo, hi, n=None):
     """The strict bracket test of :func:`check_conjecture1` over the last
-    axis: every interior knot more than ``STRICT_TOL`` inside its bracket."""
-    return np.all(interior > lo + STRICT_TOL, axis=-1) & np.all(interior < hi - STRICT_TOL, axis=-1)
+    axis: every interior knot more than ``STRICT_TOL`` inside its bracket.
+    For a padded batch, row b counts its first n[b] brackets only."""
+    return _all_within((interior > lo + STRICT_TOL) & (interior < hi - STRICT_TOL), n)
 
 
-def greedy_witness_scan(candidates, lo, hi):
+def greedy_witness_scan(candidates, lo, hi, n=None, size=None):
     """The greedy scan of :func:`check_conjecture2` over the last axis.
 
     Bracket i takes the earliest candidate after the one bracket i-1 took
@@ -257,18 +281,24 @@ def greedy_witness_scan(candidates, lo, hi):
     idx_i - i is the running maximum of s_j - j.  Returns ``(ok, idx)``: ok
     when every pick exists and lies below hi_i - ``STRICT_TOL``.  The
     candidates must be sorted along the last axis, as domain knots are.
+
+    For a padded batch, row b has n[b] brackets and size[b] candidates, and
+    its candidates must stay sorted through the padding (pad with +inf).
+    The running maximum only looks back, so the padding after a row's
+    brackets does not change its picks.
     """
-    n, size = lo.shape[-1], candidates.shape[-1]
-    if size < n:
+    width = candidates.shape[-1]
+    size = width if size is None else np.asarray(size)[..., None]
+    if width == 0:
         return np.zeros(lo.shape[:-1], dtype=bool), None
-    k = np.arange(n)
+    k = np.arange(lo.shape[-1])
     idx = np.maximum.accumulate(searchsorted_right(candidates, lo + STRICT_TOL) - k, axis=-1) + k
     # row by row through the flattened candidates; a pick past the end reads
     # the last candidate of its row and fails on idx < size
     lead = idx.shape[:-1]
-    rows = size * np.arange(int(np.prod(lead))).reshape(lead + (1,))
+    rows = width * np.arange(int(np.prod(lead))).reshape(lead + (1,))
     picked = candidates.reshape(-1)[np.minimum(idx, size - 1) + rows]
-    return ((idx < size) & (picked < hi - STRICT_TOL)).all(axis=-1), idx
+    return _all_within((idx < size) & (picked < hi - STRICT_TOL), n), idx
 
 
 def check_conjecture1(params, domain_knots, degree):

@@ -20,6 +20,7 @@ mutated after construction.
 """
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -51,19 +52,51 @@ def bbox_diagonal(points):
     return float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
 
 
-def validate_domain_knots(values, stacked=False):
+def row_prefix(lengths, width):
+    """Mask of a padded batch: entry (b, j) is True for j < lengths[b]."""
+    return np.arange(width) < np.asarray(lengths)[:, None]
+
+
+def row_window(a, start, count):
+    """``a[..., start: start + count]``; ``start`` is an int, or one start per
+    row of a 2-D ``a``."""
+    if isinstance(start, (int, np.integer)):
+        return a[..., start: start + count]
+    return np.take_along_axis(a, np.asarray(start)[:, None] + np.arange(count), axis=-1)
+
+
+def check_lengths(lengths, rows, width, minimum):
+    """Row lengths of a padded (rows, width) batch, each in [minimum, width]."""
+    n = np.asarray(lengths)
+    if n.shape != (rows,) or n.dtype.kind not in "iu":
+        raise InvalidInputError("row lengths must be one integer per row")
+    if (n < minimum).any() or (n > width).any():
+        raise InvalidInputError(f"row lengths must lie in [{minimum}, {width}]")
+    return n
+
+
+def validate_domain_knots(values, lengths=None):
     """Validate a domain-knot sequence u_0 < ... < u_{n+1} with u_0 = 0, u_{n+1} = 1.
 
-    With ``stacked``, ``values`` is a 2-D array and every row must pass.
+    With ``lengths``, ``values`` is a padded 2-D batch: row b holds a
+    sequence of lengths[b] knots, then padding that is not checked.  Every
+    row must pass.
     """
     d = np.asarray(values, dtype=float)
-    if d.ndim != (2 if stacked else 1) or d.shape[-1] < 2:
+    if d.ndim != (1 if lengths is None else 2) or d.shape[-1] < 2:
         raise InvalidInputError("domain knots must be a 1-D sequence of length >= 2")
-    if not np.isfinite(d).all():
+    if lengths is None:
+        live, last, falls = d, d[-1], d[1:] <= d[:-1]
+    else:
+        n = check_lengths(lengths, d.shape[0], d.shape[1], 2)
+        valid = row_prefix(n, d.shape[1])
+        live, last = d[valid], row_window(d, n - 1, 1)
+        falls = (d[:, 1:] <= d[:, :-1]) & valid[:, 1:]
+    if not np.isfinite(live).all():
         raise InvalidInputError("domain knots must be finite")
-    if (np.abs(d[..., 0]) > 1e-12).any() or (np.abs(d[..., -1] - 1.0) > 1e-12).any():
+    if (np.abs(d[..., 0]) > 1e-12).any() or (np.abs(last - 1.0) > 1e-12).any():
         raise InvalidInputError("domain knots must start at 0 and end at 1")
-    if (d[..., 1:] <= d[..., :-1]).any():  # finite, so the same as diff <= 0
+    if falls.any():  # finite, so the same as diff <= 0
         raise InvalidInputError("domain knots must be strictly increasing")
     return d
 
@@ -73,15 +106,17 @@ class KnotVector:
     """A full knot array with its degree and style (clamped or cyclic).
 
     ``knots`` is the complete array including the p+1 repeated end knots
-    (clamped) or the p cyclically-extended knots on each side (cyclic).  A
-    2-D ``knots`` is a stack of knot vectors of one degree and style, one per
-    row; every row must pass the checks, and ``size``, ``n_basis`` and
-    ``domain_knots`` describe each row.
+    (clamped) or the p cyclically-extended knots on each side (cyclic).
+    With ``lengths``, ``knots`` is a padded 2-D batch of knot vectors of one
+    degree and style: row b holds lengths[b] knots, then padding that is not
+    checked.  Every row must pass the checks, and ``size`` and ``n_basis``
+    become one value per row.
     """
 
     knots: np.ndarray
     degree: int
     style: str
+    lengths: Optional[np.ndarray] = None
 
     def __post_init__(self):
         kv = np.asarray(self.knots, dtype=float)
@@ -91,35 +126,43 @@ class KnotVector:
             raise InvalidInputError(f"degree must be >= 1, got {p}")
         if self.style not in (CLAMPED, CYCLIC):
             raise InvalidInputError(f"unknown knot-vector style {self.style!r}")
-        if kv.ndim not in (1, 2) or kv.shape[-1] < 2 * p + 2:
+        if kv.ndim != (1 if self.lengths is None else 2):
+            raise InvalidInputError("knots must be 1-D, or a 2-D batch with lengths")
+        if kv.shape[-1] < 2 * p + 2:
             raise InvalidInputError("knot array too short for degree")
-        if (kv[..., 1:] < kv[..., :-1]).any():
+        if self.lengths is None:
+            size, falls = kv.shape[-1], kv[1:] < kv[:-1]
+        else:
+            size = check_lengths(self.lengths, kv.shape[0], kv.shape[1], 2 * p + 2)
+            object.__setattr__(self, "lengths", size)
+            falls = (kv[:, 1:] < kv[:, :-1]) & row_prefix(size, kv.shape[1])[:, 1:]
+        if falls.any():
             raise InvalidInputError("knots must be non-decreasing")
-        lo, hi = kv[..., p], kv[..., kv.shape[-1] - p - 1]
+        lo, hi = kv[..., p], row_window(kv, size - p - 1, 1)
         if (np.abs(lo) > 1e-12).any() or (np.abs(hi - 1.0) > 1e-12).any():
             raise InvalidInputError("domain must be [0, 1]")
         if self.style == CLAMPED:
-            if (kv[..., : p + 1] != kv[..., :1]).any() or (kv[..., -(p + 1):] != kv[..., -1:]).any():
+            if (kv[..., : p + 1] != kv[..., :1]).any() or (row_window(kv, size - p - 1, p + 1) != hi).any():
                 raise InvalidInputError("clamped style requires p+1 equal end knots")
         else:
-            self._check_cyclic_extension(kv, p)
+            self._check_cyclic_extension(kv, p, size)
 
     @staticmethod
-    def _check_cyclic_extension(kv, p):
+    def _check_cyclic_extension(kv, p, size):
         # the recurrences of cyclic_knot_vector for all p knots of a side at
         # once: knot q < p against q+1, q+n1, q+n1+1; knot r > p+n1 against
         # r-1, r-n1, r-n1-1
-        n1 = kv.shape[-1] - 2 * p - 1  # domain index of u_{n+1}
+        n1 = size - 2 * p - 1  # domain index of u_{n+1}
         left = kv[..., :p]
-        left_ref = kv[..., 1: p + 1] + kv[..., n1: n1 + p] - kv[..., n1 + 1: n1 + p + 1]
-        right = kv[..., p + n1 + 1:]
-        right_ref = kv[..., p + n1: 2 * p + n1] + kv[..., p + 1: 2 * p + 1] - kv[..., p: 2 * p]
+        left_ref = kv[..., 1: p + 1] + row_window(kv, n1, p) - row_window(kv, n1 + 1, p)
+        right = row_window(kv, p + n1 + 1, p)
+        right_ref = row_window(kv, p + n1, p) + kv[..., p + 1: 2 * p + 1] - kv[..., p: 2 * p]
         if (np.abs(left - left_ref) > 1e-9).any() or (np.abs(right - right_ref) > 1e-9).any():
             raise InvalidInputError("knots do not satisfy the cyclic extension recurrences")
 
     @property
     def size(self):
-        return int(self.knots.shape[-1])
+        return int(self.knots.shape[-1]) if self.lengths is None else self.lengths
 
     @property
     def n_basis(self):
@@ -128,8 +171,9 @@ class KnotVector:
 
     @property
     def domain_knots(self):
-        """The domain segment u_0 .. u_{n+1} (a view)."""
-        return self.knots[..., self.degree: self.size - self.degree]
+        """The domain segment u_0 .. u_{n+1} (a view); in a padded batch, row
+        b's domain is the first lengths[b] - 2p entries of its row."""
+        return self.knots[..., self.degree: self.knots.shape[-1] - self.degree]
 
     def interior_count(self):
         """Number of domain knots strictly inside (0, 1), with multiplicity."""
@@ -147,30 +191,38 @@ class KnotVector:
             and self.style == other.style
             and self.knots.shape == other.knots.shape
             and bool(np.all(self.knots == other.knots))
+            and np.array_equal(self.size, other.size)
         )
 
 
-def cyclic_knot_vector(domain, degree):
+def cyclic_knot_vector(domain, degree, lengths=None):
     """Extend domain knots by the period-preserving recurrences on both sides.
 
     The p knots on each side are u_{-i} = u_{-(i-1)} + u_{n-i+1} - u_{n-i+2}
     and u_{n+i+1} = u_{n+i} + u_i - u_{i-1}; the domain segment is preserved
-    verbatim.  A 2-D ``domain`` is a stack of domains of one length; each row
-    is extended by the same recurrences into a stacked :class:`KnotVector`.
+    verbatim.  With ``lengths``, ``domain`` is a padded batch of domains (see
+    :func:`validate_domain_knots`); each row is extended by the same
+    recurrences, at its own column indices, into a padded batch
+    :class:`KnotVector`.  The padding of row b follows its lengths[b] + 2p
+    knots, copied from ``domain``'s padding.
     """
-    d = validate_domain_knots(domain, stacked=np.ndim(domain) == 2)
+    d = validate_domain_knots(domain, lengths)
     p = int(degree)
     if p < 1:
         raise InvalidInputError(f"degree must be >= 1, got {p}")
-    n1 = d.shape[-1] - 1  # index of u_{n+1}
+    n1 = (d.shape[-1] if lengths is None else np.asarray(lengths)) - 1  # index of u_{n+1}
     full = np.empty(d.shape[:-1] + (d.shape[-1] + 2 * p,))
-    full[..., p: p + n1 + 1] = d
+    full[..., p: p + d.shape[-1]] = d
+    at = ()
+    if lengths is not None:
+        full[:, p + d.shape[1]:] = d[:, -1:]  # more padding; the longest rows extend into it
+        at = (np.arange(d.shape[0]),)  # one column index per row
     # The recurrences may reference already-extended knots when the domain is
     # shorter than the degree (e.g. a single span), so index the full array.
     for i in range(1, p + 1):
-        full[..., p - i] = full[..., p - i + 1] + full[..., p + n1 - i] - full[..., p + n1 - i + 1]
-        full[..., p + n1 + i] = full[..., p + n1 + i - 1] + full[..., p + i] - full[..., p + i - 1]
-    return KnotVector(full, p, CYCLIC)
+        full[..., p - i] = full[..., p - i + 1] + full[at + (p + n1 - i,)] - full[at + (p + n1 - i + 1,)]
+        full[at + (p + n1 + i,)] = full[at + (p + n1 + i - 1,)] + full[..., p + i] - full[..., p + i - 1]
+    return KnotVector(full, p, CYCLIC, None if lengths is None else n1 + 1 + 2 * p)
 
 
 def clamped_knot_vector(domain, degree):

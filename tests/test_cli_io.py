@@ -633,10 +633,24 @@ def test_cmd_verify_stress_report_is_pinned(tmp_path):
     assert digest == "86ae03e8362ecc6fe32e4a4726c64ae841e4e9023ab779c7d1c78dada87b9ec0"
 
 
+def test_cmd_verify_conjecture2_report_is_pinned(tmp_path):
+    # the trial shape of the benchmark: 125 conjecture-2 trials per degree,
+    # whose (n, n̂) rarely repeat, byte for byte
+    out = tmp_path / "report.txt"
+    code, _, _ = _run(
+        ["verify-conjectures", "--which", "2", "--trials", "125", "--seed", "3", "--output", str(out)]
+    )
+    assert code == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "47693f223d3895cfec8fd068e4101a43e86e053b0db75258010d8cee80d16771"
+
+
 @pytest.mark.parametrize("argv,message", [
     (["--trials", "3", "--degrees", "5", "--n-range", "2:3"],
      "n_range upper bound must be >= max(degrees) + 1 = 6"),
     (["--nhat-extra=-1:0", "--which", "2"], "nhat_extra must be non-negative"),
+    (["--which", "1", "--trials", "3", "--degrees", "3,3"], "degrees must not repeat"),
+    (["--seed", "-1"], "seed must be non-negative"),
 ])
 def test_cmd_verify_sampling_ranges_that_cannot_draw_exit_1(tmp_path, argv, message):
     out = tmp_path / "report.txt"

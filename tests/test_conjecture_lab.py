@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from closedloft import cli_io
+from closedloft import _kernels, cli_io
 from closedloft import conjecture_lab as lab
 from closedloft import linalg_solve as la
 from closedloft import param_knots as pk
@@ -29,6 +30,10 @@ def test_config_validation():
         lab.TrialConfig(degrees=(5,), n_range=(2, 3))
     with pytest.raises(InvalidInputError, match="nhat_extra must be non-negative"):
         lab.TrialConfig(conjecture=2, nhat_extra=(-1, 0))
+    with pytest.raises(InvalidInputError, match="degrees must not repeat"):
+        lab.TrialConfig(degrees=(3, 3))
+    with pytest.raises(InvalidInputError, match="seed must be non-negative"):
+        lab.TrialConfig(seed=-1)
     lab.TrialConfig(degrees=(2, 5), n_range=(2, 6), nhat_extra=(0, 0))  # the edges pass
 
 
@@ -44,7 +49,7 @@ def test_folded_rank_is_stacked_rank_minus_degree_on_harness_draws(monkeypatch):
     # the solvers use N·E, the harness [N; A]: their ranks differ by the p
     # wrap rows on every configuration the harness draws
     draws = []
-    measure = lab._measure_draws
+    measure = lab._measure_degree
 
     def recording(trial_draws, conjecture, rank_tol):
         records = measure(trial_draws, conjecture, rank_tol)
@@ -53,7 +58,7 @@ def test_folded_rank_is_stacked_rank_minus_degree_on_harness_draws(monkeypatch):
             draws.append((parity, draw.domain, draw.degree, record.rank))
         return records
 
-    monkeypatch.setattr(lab, "_measure_draws", recording)
+    monkeypatch.setattr(lab, "_measure_degree", recording)
     for t_law in (lab.UNIFORM_GAP, lab.LOGNORMAL_GAP):
         for d_law in (lab.INSIDE, lab.VIOLATING):
             cfg = lab.TrialConfig(trials=75, seed=17, t_sampling=t_law, d_sampling=d_law)
@@ -182,34 +187,138 @@ def test_stress_negative_epsilon_rejected():
         lab.boundary_stress(cfg, [-1e-3])
 
 
-# --- the batched engine: one pass per (p, n, n̂) group ---
+# --- the batched engine: one padded pass per degree ---
 
-def _group_of_harness_shapes(degree, n, extra, count):
-    """``count`` draws of conjecture 2 from the harness with the same
-    (degree, n, n̂): the shapes of one group."""
+def _harness_draws(degree, n, extra, count):
+    """``count`` conjecture-2 draws of the harness with n and n̂ = n + extra,
+    then ``count`` draws of the same degree and other sizes."""
     cfg = lab.TrialConfig(conjecture=2, degrees=(degree,), n_range=(n, n), nhat_extra=(extra, extra))
     draws = [lab._draw_conjecture2(cfg, degree, i) for i in range(4 * count)]
-    nhat = n + extra
-    draws = [d for d in draws if d.domain.size - 2 == nhat][:count]
+    draws = [d for d in draws if d.domain.size - 2 == n + extra][:count]
     assert len(draws) == count
-    kv = sc.cyclic_knot_vector(np.array([d.domain for d in draws]), degree)
-    params = pk.ParameterValues(np.array([d.params for d in draws]), shifted=degree % 2 == 0)
-    return draws, la.assemble_closed_system(params, kv, nhat)
+    mixed = lab.TrialConfig(conjecture=2, degrees=(degree,), n_range=(degree + 1, 40), nhat_extra=(0, 10))
+    return draws + [lab._draw_conjecture2(mixed, degree, i) for i in range(count)]
+
+
+def _padded_batch(draws, degree):
+    t, counts = lab._padded([d.params for d in draws], 1.0)
+    domains, sizes = lab._padded([d.domain for d in draws], np.inf)
+    params = pk.ParameterValues(t, shifted=degree % 2 == 0, lengths=counts)
+    return la.assemble_closed_system(params, sc.cyclic_knot_vector(domains, degree, sizes), sizes - 2)
 
 
 @pytest.mark.parametrize("degree,n,extra", [(2, 6, 0), (3, 17, 0), (4, 40, 0), (5, 23, 7), (3, 9, 10)])
 def test_stacked_assembly_and_svd_equal_one_matrix_at_a_time(degree, n, extra):
-    draws, stack = _group_of_harness_shapes(degree, n, extra, 24)
+    # 24 matrices of one shape inside a padded batch of mixed shapes
+    draws = _harness_draws(degree, n, extra, 24)
+    batch = _padded_batch(draws, degree)
+    stack = batch[:24, : n + 1 + degree, : n + extra + degree + 1]
     report = la.rank_report(stack, 1e-12)
     assert report.singular_values.shape == (24, n + 1 + degree)
     for b, draw in enumerate(draws):
         parity = pk.ParameterValues(draw.params, shifted=degree % 2 == 0)
-        matrix = la.assemble_closed_system(parity, sc.cyclic_knot_vector(draw.domain, degree), n + extra)
-        assert matrix.tobytes() == stack[b].tobytes()
-        one = la.rank_report(matrix, 1e-12)
-        assert one.singular_values.tobytes() == report.singular_values[b].tobytes()
-        assert (one.rank, one.condition) == (report.rank[b], report.condition[b])
-        assert isinstance(one.rank, int) and isinstance(one.condition, float)
+        nhat = draw.domain.size - 2
+        matrix = la.assemble_closed_system(parity, sc.cyclic_knot_vector(draw.domain, degree), nhat)
+        assert matrix.tobytes() == batch[b, : matrix.shape[0], : matrix.shape[1]].tobytes()
+        assert not batch[b, matrix.shape[0]:].any() and not batch[b, :, matrix.shape[1]:].any()
+        if b < 24:
+            one = la.rank_report(matrix, 1e-12)
+            assert one.singular_values.tobytes() == report.singular_values[b].tobytes()
+            assert (one.rank, one.condition) == (report.rank[b], report.condition[b])
+            assert isinstance(one.rank, int) and isinstance(one.condition, float)
+
+
+@st.composite
+def mixed_batches(draw):
+    """(conjecture, draws): harness draws of one degree with mixed n and n̂,
+    under any sampling law, and the index of a matrix whose SVD is made to
+    fail (or None)."""
+    conjecture = draw(st.sampled_from([1, 2]))
+    degree = draw(st.integers(2, 5))
+    lo = draw(st.integers(degree + 1, 12))
+    cfg = lab.TrialConfig(
+        conjecture=conjecture, degrees=(degree,), n_range=(lo, draw(st.integers(lo, 14))),
+        nhat_extra=(0, draw(st.integers(0, 6))), seed=draw(st.integers(0, 2**32 - 1)),
+        t_sampling=draw(st.sampled_from([lab.UNIFORM_GAP, lab.LOGNORMAL_GAP])),
+        d_sampling=draw(st.sampled_from([lab.INSIDE, lab.VIOLATING])),
+    )
+    sample = lab._draw_conjecture1 if conjecture == 1 else lab._draw_conjecture2
+    count = draw(st.integers(1, 12))
+    draws = [sample(cfg, degree, i) for i in range(count)]
+    return conjecture, draws, draw(st.none() | st.integers(0, count - 1))
+
+
+def _alone(draw, conjecture, rank_tol):
+    """A draw's [N; A] and record from the one-trial paths: the 1-D
+    collocation kernel, a single-matrix SVD and the public condition
+    checkers."""
+    p, nhat = draw.degree, draw.domain.size - 2
+    parity = pk.ParameterValues(draw.params, shifted=p % 2 == 0)
+    kv = sc.cyclic_knot_vector(draw.domain, p)
+    wrap = np.zeros((p, kv.n_basis))
+    wrap[np.arange(p), np.arange(p)] = 1.0
+    wrap[np.arange(p), nhat + 1 + np.arange(p)] = -1.0
+    matrix = np.concatenate([la._closed_collocation(parity, kv), wrap])
+    report = la.rank_report(matrix, rank_tol)
+    s = report.singular_values
+    summary = (float(s[-1]), float(s[0]), report.rank, report.rank == matrix.shape[0])
+    agrees = None
+    if conjecture == 1:
+        condition = pk.check_conjecture1(parity, draw.domain, p)
+    else:
+        condition = pk.check_conjecture2(parity, draw.domain, p)[0]
+        if parity.n <= lab.EXHAUSTIVE_LIMIT_N:
+            agrees = condition == pk.exhaustive_witness_exists(parity, draw.domain, p)
+    record = lab.TrialRecord(p, draw.index, parity.n, nhat, condition, *summary, agrees, draw.epsilon)
+    return matrix, record
+
+
+@settings(deadline=None, max_examples=60)
+@given(mixed_batches())
+def test_padded_pass_equals_one_draw_at_a_time(case):
+    conjecture, draws, failing = case
+    alone = [_alone(d, conjecture, 1e-12) for d in draws]
+    poisoned = None if failing is None else alone[failing][0].tobytes()
+    real = lab.rank_report
+
+    def flaky(matrices, rel_tol):
+        stack = matrices.reshape((-1,) + matrices.shape[-2:])
+        if any(m.tobytes() == poisoned for m in stack):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real(matrices, rel_tol)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lab, "rank_report", flaky)
+        records = lab._measure_degree(draws, conjecture, 1e-12)
+    for b, ((_matrix, one), record) in enumerate(zip(alone, records)):
+        if b != failing:
+            assert record == one
+            continue
+        assert (record.sigma_min, record.rank, record.full_rank) == (0.0, 0, False)
+        assert np.isnan(record.sigma_max)
+        assert (record.degree, record.index, record.n, record.nhat, record.condition) == (
+            one.degree, one.index, one.n, one.nhat, one.condition)
+
+
+def test_conjecture2_run_makes_one_basis_call_per_degree_and_one_svd_per_shape(monkeypatch):
+    basis_calls, svd_shapes = [], []
+    basis, svd = _kernels.basis_funs, np.linalg.svd
+
+    def counting_basis(*args):
+        basis_calls.append(1)
+        return basis(*args)
+
+    def counting_svd(a, *args, **kwargs):
+        svd_shapes.append(np.shape(a)[-2:])
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(_kernels, "basis_funs", counting_basis)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    cfg = lab.TrialConfig(conjecture=2, trials=125, seed=3)
+    records = lab.run_conjecture2_trials(cfg).records
+    assert len(basis_calls) == len(cfg.degrees)
+    shapes = {(r.degree, r.n + 1 + r.degree, r.nhat + r.degree + 1) for r in records}
+    assert len(svd_shapes) == len(shapes) < len(records)
 
 
 def test_stacked_rank_report_edge_rows():

@@ -9,7 +9,7 @@ comparison is exact.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from closedloft import _kernels, spline_core
+from closedloft import _kernels, linalg_solve, param_knots, spline_core
 
 
 # --- point-by-point references ---
@@ -151,25 +151,29 @@ def parameters(draw, knots, p, size=None):
     return np.array(values)
 
 
+def _padded(rows, fill):
+    lengths = np.array([row.size for row in rows])
+    out = np.full((len(rows), lengths.max()), fill)
+    for row, values in zip(out, rows):
+        row[: values.size] = values
+    return out, lengths
+
+
 @st.composite
 def knot_stacks(draw):
-    """(knots (B, K), degree, params (B, m)): B knot vectors of one degree,
-    style and length, with m parameters per row."""
+    """(knot rows, degree, parameter rows): cyclic knot vectors of one degree
+    and of different lengths, each with its own number of closed parameters
+    t_0 = 0 < ... < t_n < 1."""
     p = draw(st.integers(1, 5))
-    interior = draw(st.integers(0, 6))
-    cyclic = draw(st.booleans())
-    m = draw(st.integers(1, 12))
     rows, params = [], []
     for _ in range(draw(st.integers(1, 4))):
+        interior = draw(st.integers(0, 6))
         distinct = draw(st.lists(st.floats(0.01, 0.99), min_size=interior, max_size=interior, unique=True))
-        domain = np.concatenate([[0.0], np.sort(distinct), [1.0]])
-        if cyclic:
-            knots = spline_core.cyclic_knot_vector(domain, p).knots
-        else:
-            knots = np.concatenate([np.zeros(p), domain, np.ones(p)])
+        knots = spline_core.cyclic_knot_vector(np.concatenate([[0.0], np.sort(distinct), [1.0]]), p).knots
+        u = np.unique(np.concatenate([[0.0, 0.5], parameters(draw, knots, p)]))
         rows.append(knots)
-        params.append(parameters(draw, knots, p, size=m))
-    return np.array(rows), p, np.array(params)
+        params.append(u[u < 1.0])
+    return rows, p, params
 
 
 @st.composite
@@ -258,13 +262,26 @@ def test_surface_partial(case, du, dv):
 @settings(deadline=None, max_examples=200)
 @given(knot_stacks())
 def test_stacked_knot_rows_equal_row_by_row(case):
-    knots, p, us = case
-    n_basis = knots.shape[1] - p - 1
-    spans = _kernels.find_span(knots, p, us)
-    vals = _kernels.basis_funs(knots, p, spans, us)
-    matrices = _kernels.collocation_matrix(knots, p, n_basis, us)
-    assert matrices.shape == us.shape + (n_basis,)
-    for row, u, span, val, matrix in zip(knots, us, spans, vals.transpose(1, 0, 2), matrices):
-        np.testing.assert_array_equal(span, [find_span_ref(row, p, x) for x in u])
-        np.testing.assert_array_equal(val, _kernels.basis_funs(row, p, span, u))
-        np.testing.assert_array_equal(matrix, collocation_matrix_ref(row, p, n_basis, u))
+    # the padded batch of the trial harness: one span search per +inf-padded
+    # knot row, one basis_funs call over the flattened rows, and the matrices
+    # of linalg_solve.assemble_closed_system
+    rows, p, params = case
+    knots, sizes = _padded(rows, np.inf)
+    t, counts = _padded(params, 1.0)
+    spans = _kernels.find_span(knots, p, t)
+    batch = linalg_solve.assemble_closed_system(
+        param_knots.ParameterValues(t, lengths=counts),
+        spline_core.KnotVector(knots, p, spline_core.CYCLIC, sizes),
+        sizes - 2 * p - 2,
+    )
+    assert batch.shape == (len(rows), counts.max() + p, sizes.max() - p - 1)
+    for b, (row, u) in enumerate(zip(rows, params)):
+        n_basis = row.size - p - 1
+        np.testing.assert_array_equal(spans[b, : u.size], [find_span_ref(row, p, x) for x in u])
+        matrix = batch[b, : u.size + p, :n_basis]
+        assert matrix[: u.size].tobytes() == collocation_matrix_ref(row, p, n_basis, u).tobytes()
+        wrap = np.zeros((p, n_basis))
+        wrap[np.arange(p), np.arange(p)] = 1.0
+        wrap[np.arange(p), n_basis - p + np.arange(p)] = -1.0
+        np.testing.assert_array_equal(matrix[u.size:], wrap)
+        assert not batch[b, u.size + p:].any() and not batch[b, :, n_basis:].any()

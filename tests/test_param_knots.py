@@ -11,18 +11,36 @@ from conftest import square_points
 # --- parameter assignment ---
 
 def test_parameter_stacks_are_checked_row_by_row():
-    stack = pk.ParameterValues(np.array([[0.0, 0.4, 0.8], [0.0, 0.1, 0.5]]))
-    assert stack.n == 2 and len(stack) == 3
+    # a padded batch: rows of 3 and 4 parameters; the padding is never read
+    values = np.array([[0.0, 0.4, 0.8, np.nan], [0.0, 0.1, 0.5, 0.7]])
+    stack = pk.ParameterValues(values, lengths=[3, 4])
+    assert stack.n.tolist() == [2, 3]
     with pytest.raises(InvalidInputError, match="start at t_0 = 0"):
-        pk.ParameterValues(np.array([[0.0, 0.4, 0.8], [0.1, 0.2, 0.5]]))
+        pk.ParameterValues(np.array([[0.0, 0.4, 0.8], [0.1, 0.2, 0.5]]), lengths=[3, 3])
     with pytest.raises(InvalidInputError, match="strictly increasing"):
-        pk.ParameterValues(np.array([[0.0, 0.4, 0.8], [0.0, 0.5, 0.5]]))
+        pk.ParameterValues(np.array([[0.0, 0.4, 0.8], [0.0, 0.5, 0.5]]), lengths=[3, 3])
     with pytest.raises(InvalidInputError, match="strictly inside"):
-        pk.ParameterValues(np.array([[0.1, 0.4, 0.8], [0.1, 0.5, 1.0]]), shifted=True)
-    lo, hi = pk.condition_brackets(stack, 3)
-    for row, row_lo, row_hi in zip(stack.values, lo, hi):
-        one_lo, one_hi = pk.condition_brackets(pk.ParameterValues(row), 3)
-        assert (one_lo.tobytes(), one_hi.tobytes()) == (row_lo.tobytes(), row_hi.tobytes())
+        pk.ParameterValues(np.array([[0.1, 0.4, 0.8], [0.1, 0.5, 1.0]]), shifted=True, lengths=[3, 3])
+    with pytest.raises(InvalidInputError, match="strictly inside"):
+        pk.ParameterValues(np.array([[0.1, 1.0, 0.8], [0.1, 0.5, 0.9]]), shifted=True, lengths=[2, 3])
+    with pytest.raises(InvalidInputError, match="must not exceed 1"):
+        pk.ParameterValues(np.array([[0.0, 1.5, 2.0], [0.0, 0.5, 0.9]]), lengths=[2, 3])
+    with pytest.raises(InvalidInputError, match="finite"):
+        pk.ParameterValues(values, lengths=[4, 4])
+    with pytest.raises(InvalidInputError, match="1-D sequence"):
+        pk.ParameterValues(values[:, :3])  # a batch only with lengths
+    with pytest.raises(InvalidInputError, match="row lengths"):
+        pk.ParameterValues(values, lengths=[1, 4])
+    # padded with 1.0, every row gets its own brackets first, at both parities
+    for degree, shifted, rows in ((3, False, ([0.0, 0.4, 0.8], [0.0, 0.1, 0.5, 0.7])),
+                                  (2, True, ([0.1, 0.4, 0.8], [0.05, 0.1, 0.5, 0.7]))):
+        padded = np.ones((2, 4))
+        padded[0, :3], padded[1] = rows
+        lo, hi = pk.bracket_bounds(padded, degree)
+        for row, row_lo, row_hi in zip(rows, lo, hi):
+            one_lo, one_hi = pk.condition_brackets(pk.ParameterValues(row, shifted=shifted), degree)
+            n = one_lo.size
+            assert (one_lo.tobytes(), one_hi.tobytes()) == (row_lo[:n].tobytes(), row_hi[:n].tobytes())
 
 
 def test_square_closed_parameters_equal_chords():
@@ -295,3 +313,40 @@ def test_greedy_scan_over_a_stack_equals_row_by_row(rng):
         one_ok, one_idx = pk.greedy_witness_scan(row, lo, hi)
         assert (one_ok, one_idx.tolist()) == (verdict, picks.tolist())
     assert 0 < ok.sum() < 50
+
+
+def test_padded_condition_tests_equal_row_by_row(rng):
+    # rows of 2 .. 7 brackets and 0 .. 11 candidates, padded with +inf
+    # (candidates) and 1.0 (parameters); each row reduced over its own prefix
+    rows = []
+    for _ in range(200):
+        n = int(rng.integers(2, 8))
+        t = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, n))])
+        count = int(rng.integers(0, 12)) if rng.uniform() < 0.5 else n
+        lo, hi = pk.bracket_bounds(t, 3)
+        # half the rows sit near their brackets, so that some verdicts hold
+        near = (lo + hi) / 2 + rng.normal(0.0, 0.3, n) * (hi - lo)
+        pool = np.concatenate([near, rng.uniform(0.01, 0.99, count)])
+        rows.append((t, np.sort(rng.choice(pool, count, replace=False))))
+    width, cwidth = max(t.size for t, _ in rows), max(c.size for _, c in rows)
+    t_pad, c_pad = np.ones((len(rows), width)), np.full((len(rows), cwidth), np.inf)
+    for b, (t, c) in enumerate(rows):
+        t_pad[b, : t.size], c_pad[b, : c.size] = t, c
+    n = np.array([t.size - 1 for t, _ in rows])
+    size = np.array([c.size for _, c in rows])
+    lo, hi = pk.bracket_bounds(t_pad, 3)
+    ok, idx = pk.greedy_witness_scan(c_pad, lo, hi, n, size)
+    square = np.array([c.size == k for (_, c), k in zip(rows, n)])
+    interior = np.where(square[:, None], c_pad[:, : lo.shape[1]], 0.5)
+    inside = pk.knots_inside_brackets(interior, lo, hi, n)
+    for b, (t, c) in enumerate(rows):
+        row_lo, row_hi = pk.bracket_bounds(t, 3)
+        one_ok, one_idx = pk.greedy_witness_scan(c, row_lo, row_hi)
+        assert ok[b] == one_ok
+        if one_idx is not None:
+            assert idx[b, : n[b]].tolist() == one_idx.tolist()
+        if square[b]:
+            assert inside[b] == pk.knots_inside_brackets(c, row_lo, row_hi)
+    assert 0 < ok.sum() < len(rows) and 0 < inside[square].sum() < square.sum()
+
+

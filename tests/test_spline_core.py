@@ -36,32 +36,66 @@ def test_cyclic_rejects_degenerate_domain():
         sc.cyclic_knot_vector([0, 0.7, 0.4, 1], 2)
 
 
+def _padded_domains(rng, interiors, fill=np.inf):
+    """Domains with the given interior counts, padded with ``fill``, and
+    their lengths."""
+    rows = [np.concatenate([[0.0], np.sort(rng.uniform(0.01, 0.99, k)), [1.0]]) for k in interiors]
+    lengths = np.array([row.size for row in rows])
+    out = np.full((len(rows), lengths.max()), fill)
+    for row, domain in zip(out, rows):
+        row[: domain.size] = domain
+    return out, lengths
+
+
 @pytest.mark.parametrize("degree", [1, 2, 3, 5])
 @pytest.mark.parametrize("interior", [0, 1, 4, 9])
 def test_cyclic_stack_equals_row_by_row(rng, degree, interior):
-    domains = np.array([
-        np.concatenate([[0.0], np.sort(rng.uniform(0.01, 0.99, interior)), [1.0]]) for _ in range(5)
-    ])
-    stack = sc.cyclic_knot_vector(domains, degree)
+    # a padded batch of domains of 0 .. interior interior knots
+    domains, lengths = _padded_domains(rng, [interior, 0, interior // 2, interior, 1 % (interior + 1)])
+    stack = sc.cyclic_knot_vector(domains, degree, lengths)
     assert stack.knots.shape == (5, interior + 2 + 2 * degree)
-    assert stack.n_basis == interior + degree + 1
-    np.testing.assert_array_equal(stack.domain_knots, domains)
-    for row, domain in zip(stack.knots, domains):
-        assert row.tobytes() == sc.cyclic_knot_vector(domain, degree).knots.tobytes()
+    assert stack.size.tolist() == (lengths + 2 * degree).tolist()
+    assert stack.n_basis.tolist() == (lengths - 2 + degree + 1).tolist()
+    for row, domain, size, length in zip(stack.knots, domains, stack.size, lengths):
+        one = sc.cyclic_knot_vector(domain[:length], degree)
+        assert row[:size].tobytes() == one.knots.tobytes()
+        assert (row[size:] == np.inf).all()  # the padding carries on
+        assert row[degree: size - degree].tobytes() == domain[:length].tobytes()
 
 
 def test_stacks_are_checked_row_by_row():
     good = [0.0, 0.3, 0.6, 1.0]
+    short = [0.0, 0.5, 1.0, np.nan]  # three knots; the padding is never read
+    lengths = np.array([4, 3])
+    sc.cyclic_knot_vector([good, short], 2, lengths)
     with pytest.raises(InvalidInputError, match="strictly increasing"):
-        sc.cyclic_knot_vector([good, [0.0, 0.6, 0.3, 1.0]], 2)
+        sc.cyclic_knot_vector([good, [0.0, 0.6, 0.3, 1.0]], 2, [4, 4])
     with pytest.raises(InvalidInputError, match="start at 0 and end at 1"):
-        sc.cyclic_knot_vector([good, [0.0, 0.3, 0.6, 0.9]], 2)
+        sc.cyclic_knot_vector([good, [0.0, 0.3, 0.6, 0.9]], 2, [4, 4])
+    with pytest.raises(InvalidInputError, match="start at 0 and end at 1"):
+        sc.cyclic_knot_vector([good, short], 2, [4, 2])  # row 1 ends at 0.5
+    with pytest.raises(InvalidInputError, match="finite"):
+        sc.cyclic_knot_vector([good, short], 2, [4, 4])
+    for bad in ([4, 1], [4, 5], [4], [4.0, 3.0]):
+        with pytest.raises(InvalidInputError, match="row lengths"):
+            sc.validate_domain_knots([good, short], bad)
     with pytest.raises(InvalidInputError, match="1-D sequence"):
-        sc.validate_domain_knots([good, good])  # a stack only where asked for
-    knots = sc.cyclic_knot_vector([good, good], 2).knots.copy()
-    knots[1, 0] -= 0.1
-    with pytest.raises(InvalidInputError, match="cyclic extension"):
-        sc.KnotVector(knots, 2, "cyclic")
+        sc.validate_domain_knots([good, good])  # a batch only with lengths
+    batch = sc.cyclic_knot_vector([good, short], 2, lengths)
+    with pytest.raises(InvalidInputError, match="2-D batch with lengths"):
+        sc.KnotVector(batch.knots, 2, "cyclic")
+    for row, column in ((0, 0), (1, 6), (1, 5)):  # a left, and two right extension knots
+        knots = batch.knots.copy()
+        knots[row, column] -= 0.1
+        with pytest.raises(InvalidInputError, match="cyclic extension|non-decreasing"):
+            sc.KnotVector(knots, 2, "cyclic", batch.size)
+    knots = batch.knots.copy()
+    knots[1, 7:] = -5.0  # padding of row 1 is not checked
+    assert sc.KnotVector(knots, 2, "cyclic", batch.size) == sc.KnotVector(knots, 2, "cyclic", batch.size)
+    clamped = np.array([[0, 0, 0, 0.5, 1, 1, 1, 7], [0, 0, 0, 1, 1, 1, 7, 7]], float)
+    sc.KnotVector(clamped, 2, "clamped", [7, 6])
+    with pytest.raises(InvalidInputError, match="p\\+1 equal end knots"):
+        sc.KnotVector(clamped, 2, "clamped", [8, 6])
 
 
 def test_clamped_knot_vector_examples():
