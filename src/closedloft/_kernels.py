@@ -3,6 +3,12 @@ derivatives, collocation rows, and batched curve/surface evaluation.
 
 All kernels take raw float64 arrays.  Knot vectors are the *full* arrays
 (clamped or cyclically extended); callers are responsible for domain checks.
+A cyclic knot vector of degree p carries n̂+p+1 basis functions over n̂+1
+distinct controls: the evaluation kernels take the distinct controls (net
+columns, in v) and read basis function j from control j mod n̂+1, and
+``collocation_matrix`` adds basis function j into column j mod its column
+count.  This module is the only place the wrap happens; for clamped data
+every index is already below the count and the modulo changes nothing.
 ``find_span`` also takes a stack of sorted knot rows, shape (B, K), with the
 parameters as a (B, m) array: row b of the parameters is searched in knot
 row b.
@@ -119,14 +125,17 @@ def ders_basis_funs(knots, degree, span, u, order):
     return ders
 
 
-def collocation_matrix(knots, degree, n_basis, params):
-    out = np.zeros(params.shape + (n_basis,))
+def collocation_matrix(knots, degree, ncols, params):
+    """Rows of basis values at ``params``, basis function j in column
+    j mod ``ncols``.  With fewer columns than p+1, several of a row's local
+    functions share a column and add, in the order of j."""
+    out = np.zeros(params.shape + (ncols,))
     spans = find_span(knots, degree, params)
     vals = basis_funs(knots, degree, spans, params)
-    rows = out.reshape(-1, n_basis)  # a view: one row per parameter
+    rows = out.reshape(-1, ncols)  # a view: one row per parameter
     at = np.arange(params.size)
     for j in range(degree + 1):
-        rows[at, (spans - degree + j).ravel()] = vals[j].ravel()
+        rows[at, (spans - degree + j).ravel() % ncols] += vals[j].ravel()
     return out
 
 
@@ -135,7 +144,7 @@ def curve_points(knots, degree, ctrl, params):
     spans = find_span(knots, degree, params)
     vals = basis_funs(knots, degree, spans, params)
     for j in range(degree + 1):
-        out += vals[j][:, None] * ctrl[spans - degree + j]
+        out += vals[j][:, None] * ctrl[(spans - degree + j) % ctrl.shape[0]]
     return out
 
 
@@ -143,18 +152,22 @@ def curve_derivatives(knots, degree, ctrl, params, order):
     out = np.zeros((params.shape[0], order + 1, ctrl.shape[1]))
     spans = find_span(knots, degree, params)
     ders = ders_basis_funs(knots, degree, spans, params, order)
-    for k in range(order + 1):
-        for j in range(degree + 1):
-            out[:, k] += ders[k, j][:, None] * ctrl[spans - degree + j]
+    for j in range(degree + 1):
+        at = (spans - degree + j) % ctrl.shape[0]
+        for k in range(order + 1):
+            out[:, k] += ders[k, j][:, None] * ctrl[at]
     return out
 
 
 def _tensor_sum(net, deg_u, deg_v, su, sv, bu, bv):
-    """Sum of bu[i] * bv[j] * net[su-p+i, sv-q+j], i-major, one point per row."""
+    """Sum of bu[i] * bv[j] * net[su-p+i, (sv-q+j) mod cols], i-major, one
+    point per row."""
+    at_v = [(sv - deg_v + j) % net.shape[1] for j in range(deg_v + 1)]
     out = np.zeros((su.shape[0], net.shape[2]))
     for i in range(deg_u + 1):
+        at_u = su - deg_u + i
         for j in range(deg_v + 1):
-            out += (bu[i] * bv[j])[:, None] * net[su - deg_u + i, sv - deg_v + j]
+            out += (bu[i] * bv[j])[:, None] * net[at_u, at_v[j]]
     return out
 
 

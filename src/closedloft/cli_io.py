@@ -182,9 +182,7 @@ class SurfaceFile:
             return NotImplemented
         a, b = self.surface, other.surface
         return (
-            a.degree_u == b.degree_u
-            and a.degree_v == b.degree_v
-            and a.knots_u == b.knots_u
+            a.knots_u == b.knots_u
             and a.knots_v == b.knots_v
             and a.closed_v == b.closed_v
             and np.array_equal(a.control_net, b.control_net)
@@ -196,11 +194,19 @@ def _knots_payload(kv):
     return {"style": kv.style, "degree": kv.degree, "values": kv.knots.tolist()}
 
 
+def _field(doc, key, what):
+    try:
+        return doc[key]
+    except (KeyError, TypeError):
+        raise InvalidInputError(f"{what} has no {key!r} field") from None
+
+
 def _knots_from_payload(payload):
-    values = np.asarray(payload["values"], dtype=float)
+    values = np.asarray(_field(payload, "values", "knot vector"), dtype=float)
     if values.ndim != 1:  # say so before KnotVector's message about padded batches
         raise InvalidInputError("knot values must be a flat list of numbers")
-    return KnotVector(values, int(payload["degree"]), payload["style"])
+    degree = int(_field(payload, "degree", "knot vector"))
+    return KnotVector(values, degree, _field(payload, "style", "knot vector"))
 
 
 def _join_ascii(pieces):
@@ -287,16 +293,24 @@ def serialize_surface(surface_file):
     return _join_ascii(itertools.chain(_object_parts(doc, 0), ["\n"]))
 
 
+def _surface_knots(doc, side):
+    """Knot vector ``knots_<side>`` of a surface document, checked against
+    the document's ``degree_<side>``."""
+    kv = _knots_from_payload(_field(doc, "knots_" + side, "surface document"))
+    degree = int(_field(doc, "degree_" + side, "surface document"))
+    if degree != kv.degree:
+        raise InvalidInputError(f"degree_{side} is {degree} but knots_{side} has degree {kv.degree}")
+    return kv
+
+
 def parse_surface(text):
+    """The surface document that :func:`serialize_surface` writes.  A missing
+    field, or a degree other than its knot vector's, is an
+    :class:`InvalidInputError`."""
     doc = json.loads(text)
-    surface = BSplineSurface(
-        int(doc["degree_u"]),
-        int(doc["degree_v"]),
-        _knots_from_payload(doc["knots_u"]),
-        _knots_from_payload(doc["knots_v"]),
-        np.asarray(doc["control_net"], dtype=float),
-        closed_v=bool(doc.get("closed_v", False)),
-    )
+    knots_u, knots_v = _surface_knots(doc, "u"), _surface_knots(doc, "v")
+    net = np.asarray(_field(doc, "control_net", "surface document"), dtype=float)
+    surface = BSplineSurface(knots_u, knots_v, net, closed_v=bool(doc.get("closed_v", False)))
     return SurfaceFile(surface, doc.get("provenance") or {})
 
 
@@ -428,8 +442,6 @@ def build_parser():
     p_ver.add_argument("--nhat-extra", default="1:10", help="A:B inclusive")
     p_ver.add_argument("--rank-tol", type=float, default=1e-12)
     p_ver.add_argument("--stress", action="store_true", help="add a boundary-stress sweep")
-    p_ver.add_argument("--threads", type=int, default=1,
-                       help="must be >= 1; has no effect (the trials run as one batched pass)")
     p_ver.add_argument("--output", help="report path (default stdout)")
     return parser
 
@@ -582,8 +594,6 @@ def _parse_range(text, name):
 def cmd_verify_conjectures(args):
     if args.trials < 1:
         raise _UsageError("trials must be >= 1")
-    if args.threads < 1:
-        raise _UsageError("threads must be >= 1")
     try:
         degrees = tuple(int(d) for d in args.degrees.split(",") if d)
     except ValueError:
@@ -599,14 +609,14 @@ def cmd_verify_conjectures(args):
     chunks = []
     total_cex = 0
     if args.which in ("1", "both"):
-        report = run_conjecture1_trials(TrialConfig(conjecture=1, **base), threads=args.threads)
+        report = run_conjecture1_trials(TrialConfig(conjecture=1, **base))
         total_cex += len(report.counterexamples)
         chunks.append(format_report(report))
         if args.stress:
             ladder = [1e-2, 1e-3, 1e-4, 1e-6, 1e-8, 0.0]
             chunks.append(format_report(boundary_stress(TrialConfig(conjecture=1, **base), ladder)))
     if args.which in ("2", "both"):
-        report = run_conjecture2_trials(TrialConfig(conjecture=2, **base), threads=args.threads)
+        report = run_conjecture2_trials(TrialConfig(conjecture=2, **base))
         total_cex += len(report.counterexamples)
         chunks.append(format_report(report))
     text = "".join(chunks)

@@ -314,7 +314,8 @@ def _measure_degree(draws, conjecture, rank_tol):
 
 def _run(cfg, draw, threads=1):
     """Draw and measure ``cfg.trials`` trials per degree.  ``threads`` is
-    checked and otherwise ignored: the measurement is one batched pass."""
+    checked and otherwise ignored: the measurement is one batched pass.  The
+    keyword is kept because the benchmark in ``perfbench/`` passes it."""
     if threads < 1:
         raise InvalidInputError("threads must be >= 1")
     records = []

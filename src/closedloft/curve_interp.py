@@ -148,7 +148,7 @@ def interpolate_open(points, params, kv):
             f"open interpolation residual {residual:.3e} exceeds tolerance",
             rank_report=rank_report(matrix),
         )
-    curve = BSplineCurve(kv.degree, kv, ctrl, kind="open")
+    curve = BSplineCurve(kv, ctrl)
     return InterpolationResult(curve, residual, matrix)
 
 
@@ -237,7 +237,7 @@ def interpolate_closed_energy(problem, alpha=None, beta=None, stiff=None):
 
 
 def _finish_closed(problem, kv, matrix, ctrl, verdict):
-    curve = BSplineCurve(problem.degree, kv, ctrl, kind="closed")
+    curve = BSplineCurve(kv, ctrl)
     residual = float(
         np.linalg.norm(
             eval_curve(curve, problem.params.values) - problem.points, axis=1

@@ -84,13 +84,6 @@ def _check_closed(kv, first, last):
         raise InvalidInputError("closed collocation parameters must lie in [0, 1)")
 
 
-def _closed_collocation(params, kv):
-    """Cyclic collocation matrix N over all n̂+p+1 expanded basis functions."""
-    t = params.values
-    _check_closed(kv, t[0], t[-1])
-    return _kernels.collocation_matrix(kv.knots, kv.degree, kv.n_basis, t)
-
-
 def assemble_closed_system(params, kv, nhat):
     """Closed system matrix [N; A]: basis rows stacked over the p wrap-constraint rows.
 
@@ -149,18 +142,17 @@ def assemble_closed_system(params, kv, nhat):
 def periodic_collocation(params, kv):
     """Folded closed collocation matrix N·E of size (n+1)×(n̂+1).
 
-    E maps the n̂+1 distinct controls to expanded storage (the distinct
-    controls followed by the first p again), so N·E adds column j of N into
-    column j mod (n̂+1).  It is invertible exactly when [N; A] is: the kernel
-    of A is the range of E, and E is injective.  A row has p+1 consecutive
-    nonzeros, so when n̂+1 > p (every solvable problem) no entry is the sum
-    of two nonzero values and the fold rounds nothing.
+    E maps the n̂+1 distinct controls to the n̂+p+1 basis functions (basis
+    function j takes control j mod (n̂+1)), so N·E holds basis function j
+    in column j mod (n̂+1); ``collocation_matrix`` adds it there.  N·E is
+    invertible exactly when [N; A] is: the kernel of A is the range of E,
+    and E is injective.  A row has p+1 consecutive nonzeros, so when
+    n̂+1 > p (every solvable problem) no entry is the sum of two nonzero
+    values and the wrap rounds nothing.
     """
-    matrix = _closed_collocation(params, kv)
-    cols = kv.n_basis - kv.degree
-    for j in range(cols, kv.n_basis):
-        matrix[:, j % cols] += matrix[:, j]
-    return matrix[:, :cols].copy()
+    t = params.values
+    _check_closed(kv, t[0], t[-1])
+    return _kernels.collocation_matrix(kv.knots, kv.degree, kv.n_basis - kv.degree, t)
 
 
 def solve_dense(matrix, rhs):

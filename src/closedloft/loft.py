@@ -191,7 +191,7 @@ def _make_compatible(curve, common):
     ).max() > 10 * 1e-10:
         raise ClosedLoftError("knot refinement failed to reach the common knot vector")
     # adopt the shared array so all curves compare knot-identical
-    return BSplineCurve(curve.degree, common, refined.control_points, kind="open")
+    return BSplineCurve(common, refined.control_points)
 
 
 def interpolate_all_row_points(rows, degree, per, align="auto"):
@@ -316,10 +316,7 @@ class LoftResult:
 def _assemble_and_check(rows, row_curves, degree_u, method, per, closed):
     net_rows = np.stack([c.control_points for c in row_curves.curves])
     control_net, kv_u, s = _interpolate_columns(net_rows, degree_u)
-    surface = BSplineSurface(
-        degree_u, row_curves.common.degree, kv_u, row_curves.common,
-        control_net, closed_v=closed,
-    )
+    surface = BSplineSurface(kv_u, row_curves.common, control_net, closed_v=closed)
     scale = max(bbox_diagonal(np.vstack(rows.rows)), 1e-30)
     # every row's points in one evaluation: row i at u = s_i
     us = np.repeat(s.values, [t.size for t in row_curves.solve_params])
@@ -383,7 +380,7 @@ def loft_closed_park(rows, degree_u, degree_v, per, alpha=1.0, beta=0.2, align="
             common = clamped.knots
         else:
             # all rows share the cyclic knot vector, so the clamped one too
-            clamped = BSplineCurve(degree_v, common, clamped.control_points, kind="open")
+            clamped = BSplineCurve(common, clamped.control_points)
         curves.append(clamped)
         params.append(solve_params.values)
         residuals.append(res.max_residual)
@@ -395,20 +392,11 @@ def loft_open(rows, degree_u, degree_v):
     """Traditional open-section lofting: averaging knots per row, merge,
     refine, then column interpolation."""
     rows = as_contour_rows(rows)
-    for i, r in enumerate(rows.rows):
-        if r.shape[0] < degree_v + 1:
-            raise InvalidInputError(
-                f"row {i}: open degree-{degree_v} interpolation needs at least "
-                f"{degree_v + 1} points, got {r.shape[0]}"
-            )
-        gaps = np.linalg.norm(np.diff(r, axis=0), axis=1)
-        if np.any(gaps == 0.0):
-            raise InvalidInputError(f"row {i}: coincident consecutive points")
     curves, params, residuals = [], [], []
     for i, r in enumerate(rows.rows):
-        t_row = open_parameters(r)
-        kv = averaging_knots_open(t_row, degree_v)
         try:
+            t_row = open_parameters(r)
+            kv = averaging_knots_open(t_row, degree_v)
             res = interpolate_open(r, t_row, kv)
         except ClosedLoftError as exc:
             raise type(exc)(f"row {i}: {exc}") from exc

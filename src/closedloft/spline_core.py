@@ -11,7 +11,8 @@ Conventions used throughout the package:
 * All knot vectors are normalized to the domain ``[0, 1]``.
 * Points are float64 arrays of shape ``(n, 3)``; single points are ``(3,)``.
 * Closed curves are stored in canonical form: the distinct control points
-  only, with the wrap handled by :meth:`BSplineCurve.expanded_controls`.
+  only.  The evaluation kernels read basis function j of a cyclic knot
+  vector from distinct control j mod n̂+1 (see :mod:`closedloft._kernels`).
 * Evaluation at the right domain endpoint is the limit from the left, so
   ``eval_curve(c, 1.0)`` is always defined.
 
@@ -283,56 +284,38 @@ def basis_derivatives(kv, u, order, full=False):
     return out
 
 
+def _distinct_count(kv):
+    """Control points (net columns) over a knot vector: one per basis
+    function, less the p that a cyclic knot vector wraps."""
+    return kv.n_basis - (kv.degree if kv.style == CYCLIC else 0)
+
+
 @dataclass(frozen=True)
 class BSplineCurve:
-    """Control points plus a knot vector.
+    """A knot vector plus its distinct control points.
 
-    * ``kind == "open"``: ``control_points`` has ``n_basis`` rows and the
-      knot vector is clamped.
-    * ``kind == "closed"``: the knot vector is cyclic and ``control_points``
-      holds only the distinct points (``n_basis - p`` rows); the expanded
-      solver form repeats the first p points at the end.
+    Over a clamped knot vector the curve is open and has ``n_basis``
+    controls.  Over a cyclic one it is closed and has ``n_basis - p``: basis
+    function j uses control j mod (n̂+1).  ``degree`` and ``kind`` ("open"
+    or "closed") are read from the knot vector.
     """
 
-    degree: int
     knots: KnotVector
     control_points: np.ndarray
-    kind: str = "open"
 
     def __post_init__(self):
         object.__setattr__(self, "control_points", as_points(self.control_points))
-        if self.degree != self.knots.degree:
-            raise InvalidInputError("curve degree does not match knot vector degree")
-        n = self.control_points.shape[0]
-        if self.kind == "open":
-            if self.knots.style != CLAMPED:
-                raise InvalidInputError("open curves require a clamped knot vector")
-            if n != self.knots.n_basis:
-                raise InvalidInputError(
-                    f"open curve needs {self.knots.n_basis} control points, got {n}"
-                )
-        elif self.kind == "closed":
-            if self.knots.style != CYCLIC:
-                raise InvalidInputError("closed curves require a cyclic knot vector")
-            if n != self.knots.n_basis - self.degree:
-                raise InvalidInputError(
-                    f"closed curve needs {self.knots.n_basis - self.degree} distinct "
-                    f"control points, got {n}"
-                )
-        else:
-            raise InvalidInputError(f"unknown curve kind {self.kind!r}")
-
-    def expanded_controls(self):
-        """Solver storage: the distinct controls followed by p more, taken
-        cyclically from the start (the first p when there are that many)."""
-        if self.kind == "open":
-            return self.control_points
-        n = self.n_distinct
-        return self.control_points[np.arange(n + self.degree) % n]
+        want, n = _distinct_count(self.knots), self.control_points.shape[0]
+        if n != want:
+            raise InvalidInputError(f"{self.kind} curve needs {want} control points, got {n}")
 
     @property
-    def n_distinct(self):
-        return self.control_points.shape[0]
+    def degree(self):
+        return self.knots.degree
+
+    @property
+    def kind(self):
+        return "closed" if self.knots.style == CYCLIC else "open"
 
 
 def eval_curve(curve, u):
@@ -340,7 +323,7 @@ def eval_curve(curve, u):
     u_arr = np.atleast_1d(np.asarray(u, dtype=float))
     _check_in_domain(u_arr)
     pts = _kernels.curve_points(
-        curve.knots.knots, curve.degree, curve.expanded_controls(), u_arr
+        curve.knots.knots, curve.degree, curve.control_points, u_arr
     )
     return pts[0] if np.isscalar(u) or np.ndim(u) == 0 else pts
 
@@ -352,24 +335,24 @@ def curve_derivatives(curve, u, order):
     u_arr = np.atleast_1d(np.asarray(u, dtype=float))
     _check_in_domain(u_arr)
     ders = _kernels.curve_derivatives(
-        curve.knots.knots, curve.degree, curve.expanded_controls(), u_arr, int(order)
+        curve.knots.knots, curve.degree, curve.control_points, u_arr, int(order)
     )
     return ders[0] if np.isscalar(u) or np.ndim(u) == 0 else ders
 
 
 @dataclass(frozen=True)
 class BSplineSurface:
-    """Tensor-product surface, open in u; v may be clamped or cyclic.
+    """Tensor-product surface: two knot vectors and the control net.
 
-    For a cyclic v knot vector the net stores distinct columns only and
-    evaluation wraps them, mirroring the closed-curve convention.
-    ``closed_v`` marks surfaces that are geometrically closed in v even when
-    stored over a clamped v knot vector (the lofting pipelines clamp rows
-    before assembling the net).
+    The u knot vector is clamped; v may be clamped or cyclic.  Over a
+    cyclic v knot vector the net holds the distinct columns only, as a
+    closed curve holds its distinct controls.  ``closed_v`` marks surfaces
+    that are geometrically closed in v even when stored over a clamped v
+    knot vector (the lofting pipelines clamp rows before assembling the
+    net); it is set for a cyclic v knot vector.  ``degree_u`` and
+    ``degree_v`` are read from the knot vectors.
     """
 
-    degree_u: int
-    degree_v: int
     knots_u: KnotVector
     knots_v: KnotVector
     control_net: np.ndarray
@@ -384,27 +367,23 @@ class BSplineSurface:
             raise InvalidInputError("control net must be finite")
         if self.knots_u.style != CLAMPED:
             raise InvalidInputError("surfaces are open (clamped) in the u direction")
-        if self.degree_u != self.knots_u.degree or self.degree_v != self.knots_v.degree:
-            raise InvalidInputError("surface degrees do not match knot vectors")
         if net.shape[0] != self.knots_u.n_basis:
             raise InvalidInputError("control net row count does not match u knot vector")
-        want_cols = self.knots_v.n_basis
-        if self.knots_v.style == CYCLIC:
-            want_cols -= self.degree_v
-            if not self.closed_v:
-                object.__setattr__(self, "closed_v", True)
+        want_cols = _distinct_count(self.knots_v)
         if net.shape[1] != want_cols:
             raise InvalidInputError(
                 f"control net needs {want_cols} columns, got {net.shape[1]}"
             )
-
-    def expanded_net(self):
-        """The net with the distinct columns followed by degree_v more, taken
-        cyclically from the first (see :meth:`BSplineCurve.expanded_controls`)."""
         if self.knots_v.style == CYCLIC:
-            cols = self.control_net.shape[1]
-            return self.control_net[:, np.arange(cols + self.degree_v) % cols]
-        return self.control_net
+            object.__setattr__(self, "closed_v", True)
+
+    @property
+    def degree_u(self):
+        return self.knots_u.degree
+
+    @property
+    def degree_v(self):
+        return self.knots_v.degree
 
     @property
     def net_shape(self):
@@ -423,7 +402,7 @@ def eval_surface(surface, u, v):
     pts = _kernels.surface_points(
         surface.knots_u.knots, surface.degree_u,
         surface.knots_v.knots, surface.degree_v,
-        surface.expanded_net(), u_arr, v_arr,
+        surface.control_net, u_arr, v_arr,
     )
     return pts[0] if scalar else pts
 
@@ -440,7 +419,7 @@ def surface_partial(surface, u, v, du, dv):
     pts = _kernels.surface_partial(
         surface.knots_u.knots, surface.degree_u,
         surface.knots_v.knots, surface.degree_v,
-        surface.expanded_net(), u_arr, v_arr, int(du), int(dv),
+        surface.control_net, u_arr, v_arr, int(du), int(dv),
     )
     return pts[0] if scalar else pts
 
@@ -453,12 +432,13 @@ def clamp_closed_curve(curve):
     pointwise unchanged on [0, 1].  The two extreme knots are untouched by
     the passes and are set to the domain endpoints afterwards.
     """
-    if curve.kind != "closed" or curve.knots.style != CYCLIC:
+    if curve.knots.style != CYCLIC:
         raise InvalidInputError("clamp_closed_curve expects a closed curve on a cyclic knot vector")
     p = curve.degree
-    ctrl = curve.expanded_controls().copy()
+    distinct = curve.control_points.shape[0]
+    ctrl = curve.control_points[np.arange(distinct + p) % distinct]  # a copy, wrapped
     knots = curve.knots.knots.copy()
-    n = ctrl.shape[0] - 1  # highest expanded control index
+    n = ctrl.shape[0] - 1  # highest wrapped control index
 
     for i in range(p - 2, -1, -1):
         for j in range(i + 1):
@@ -478,7 +458,7 @@ def clamp_closed_curve(curve):
 
     knots[0] = knots[p]
     knots[n + p + 1] = knots[n + 1]
-    return BSplineCurve(p, KnotVector(knots, p, CLAMPED), ctrl, kind="open")
+    return BSplineCurve(KnotVector(knots, p, CLAMPED), ctrl)
 
 
 def _check_refined_multiplicities(knots, degree):
@@ -511,7 +491,7 @@ def refine_knots(curve, new_knots):
     where the discrete B-spline row alpha(j) = R_1(tau_j+1) ... R_p(tau_j+p)
     is the Cox-de Boor recurrence with x replaced by successive new knots.
     """
-    if curve.kind != "open":
+    if curve.knots.style != CLAMPED:
         raise InvalidInputError("refine_knots operates on clamped (open) curves")
     add = np.atleast_1d(np.asarray(new_knots, dtype=float))
     if add.size == 0:
@@ -538,7 +518,7 @@ def refine_knots(curve, new_knots):
         alpha = nxt
     gathered = curve.control_points[mu[:, None] + np.arange(-p, 1)]
     ctrl = np.einsum("jr,jrc->jc", alpha, gathered)
-    return BSplineCurve(p, KnotVector(tau, p, CLAMPED), ctrl, kind="open")
+    return BSplineCurve(KnotVector(tau, p, CLAMPED), ctrl)
 
 
 def _knot_groups(arr, tol):

@@ -48,7 +48,15 @@ def random_closed_curve(rng, degree, nhat=None):
     domain = np.concatenate([[0.0], np.cumsum(gaps)[:-1] / gaps.sum(), [1.0]])
     kv = cyclic_knot_vector(domain, degree)
     ctrl = rng.normal(scale=2.0, size=(kv.n_basis - degree, 3))
-    return BSplineCurve(degree, kv, ctrl, kind="closed")
+    return BSplineCurve(kv, ctrl)
+
+
+def expanded(curve):
+    """A curve's controls in expanded storage: one per basis function, so a
+    closed curve's distinct controls followed by p more, taken cyclically
+    from the first.  An open curve's controls come back as they are."""
+    n = curve.control_points.shape[0]
+    return curve.control_points[np.arange(curve.knots.n_basis) % n]
 
 
 @pytest.fixture

@@ -258,7 +258,7 @@ def _alone(draw, conjecture, rank_tol):
     wrap = np.zeros((p, kv.n_basis))
     wrap[np.arange(p), np.arange(p)] = 1.0
     wrap[np.arange(p), nhat + 1 + np.arange(p)] = -1.0
-    matrix = np.concatenate([la._closed_collocation(parity, kv), wrap])
+    matrix = np.concatenate([_kernels.collocation_matrix(kv.knots, p, kv.n_basis, parity.values), wrap])
     report = la.rank_report(matrix, rank_tol)
     s = report.singular_values
     summary = (float(s[-1]), float(s[0]), report.rank, report.rank == matrix.shape[0])

@@ -12,7 +12,7 @@ from closedloft.errors import (
     SingularSystemError,
 )
 
-from conftest import circle_points, ellipse_points, square_points
+from conftest import circle_points, ellipse_points, expanded, square_points
 
 
 def _closed_problem(points, degree, method=None):
@@ -126,8 +126,8 @@ def test_wrap_identity_exact(rng):
     pts = circle_points(12, radius=2.0) + rng.normal(scale=0.05, size=(12, 3))
     res = ci.interpolate_closed_square(_closed_problem(pts, 3))
     c = res.curve
-    expanded = c.expanded_controls()
-    np.testing.assert_array_equal(expanded[-3:], expanded[:3])
+    full = expanded(c)
+    np.testing.assert_array_equal(full[-3:], full[:3])
 
 
 # --- folded solves against the stacked [N; A] solves ---
@@ -156,7 +156,7 @@ def test_folded_square_solve_matches_stacked_solve(rng, degree):
         problem = _noisy_problem(rng, degree, 0)
         res = ci.interpolate_closed_square(problem)
         ref = _stacked_solve(problem)
-        np.testing.assert_allclose(res.curve.expanded_controls(), ref, rtol=0,
+        np.testing.assert_allclose(expanded(res.curve), ref, rtol=0,
                                    atol=1e-10 * np.abs(ref).max())
 
 
@@ -169,7 +169,7 @@ def test_folded_energy_solve_matches_stacked_solve(rng, degree):
         res = ci.interpolate_closed_energy(problem, stiff=stiff)
         assert res.system.shape == (problem.n + 1, problem.nhat + 1)
         ref = _stacked_solve(problem, stiff)
-        np.testing.assert_allclose(res.curve.expanded_controls(), ref, rtol=0,
+        np.testing.assert_allclose(expanded(res.curve), ref, rtol=0,
                                    atol=1e-9 * np.abs(ref).max())
 
 
@@ -201,14 +201,14 @@ def test_energy_circle8_optimality(rng):
     assert res.max_residual < 1e-8 * _scale(pts)
     kv = res.curve.knots
     stiff = la.stiffness_matrix(kv, 1.0, 0.2)
-    base = la.curve_energy(stiff, res.curve.expanded_controls())
+    base = la.curve_energy(stiff, expanded(res.curve))
     matrix = la.assemble_closed_system(problem.params, kv, problem.nhat)
     import scipy.linalg
 
     z = scipy.linalg.null_space(matrix)
     for _ in range(100):
         delta = (z @ rng.normal(size=(z.shape[1], 3)))
-        perturbed = res.curve.expanded_controls() + delta
+        perturbed = expanded(res.curve) + delta
         assert la.curve_energy(stiff, perturbed) >= base - 1e-10
 
 
@@ -257,10 +257,10 @@ def test_energy_below_square_on_witness_subset(rng):
     kv_big = res.curve.knots
     kv_small = square.curve.knots
     e_big = la.curve_energy(
-        la.stiffness_matrix(kv_big, 1.0, 0.2), res.curve.expanded_controls()
+        la.stiffness_matrix(kv_big, 1.0, 0.2), expanded(res.curve)
     )
     e_small = la.curve_energy(
-        la.stiffness_matrix(kv_small, 1.0, 0.2), square.curve.expanded_controls()
+        la.stiffness_matrix(kv_small, 1.0, 0.2), expanded(square.curve)
     )
     assert e_big <= e_small + 1e-9
 

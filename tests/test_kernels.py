@@ -3,7 +3,9 @@
 The references below are the kernels as they were written before they ran
 over arrays: one parameter at a time, adding terms in the same order.  The
 batched kernels must give the same floating-point values, so every
-comparison is exact.
+comparison is exact.  Like the kernels, the references take the distinct
+controls of a cyclic knot vector (the distinct columns of a net, in v) and
+wrap basis function j to control (and collocation column) j mod their count.
 """
 
 import numpy as np
@@ -49,13 +51,13 @@ def basis_funs_ref(knots, degree, span, u):
     return values
 
 
-def collocation_matrix_ref(knots, degree, n_basis, params):
-    out = np.zeros((params.shape[0], n_basis))
+def collocation_matrix_ref(knots, degree, ncols, params):
+    out = np.zeros((params.shape[0], ncols))
     for i in range(params.shape[0]):
         span = find_span_ref(knots, degree, params[i])
         vals = basis_funs_ref(knots, degree, span, params[i])
         for j in range(degree + 1):
-            out[i, span - degree + j] = vals[j]
+            out[i, (span - degree + j) % ncols] += vals[j]
     return out
 
 
@@ -66,7 +68,7 @@ def curve_points_ref(knots, degree, ctrl, params):
         span = find_span_ref(knots, degree, params[i])
         vals = basis_funs_ref(knots, degree, span, params[i])
         for j in range(degree + 1):
-            c = span - degree + j
+            c = (span - degree + j) % ctrl.shape[0]
             for d in range(dim):
                 out[i, d] += vals[j] * ctrl[c, d]
     return out
@@ -80,7 +82,7 @@ def curve_derivatives_ref(knots, degree, ctrl, params, order):
         ders = _kernels.ders_basis_funs(knots, degree, span, params[i], order)
         for k in range(order + 1):
             for j in range(degree + 1):
-                c = span - degree + j
+                c = (span - degree + j) % ctrl.shape[0]
                 for d in range(dim):
                     out[i, k, d] += ders[k, j] * ctrl[c, d]
     return out
@@ -98,7 +100,7 @@ def surface_points_ref(knots_u, deg_u, knots_v, deg_v, net, us, vs):
             for j in range(deg_v + 1):
                 w = bu[i] * bv[j]
                 for d in range(dim):
-                    out[k, d] += w * net[su - deg_u + i, sv - deg_v + j, d]
+                    out[k, d] += w * net[su - deg_u + i, (sv - deg_v + j) % net.shape[1], d]
     return out
 
 
@@ -114,7 +116,7 @@ def surface_partial_ref(knots_u, deg_u, knots_v, deg_v, net, us, vs, du, dv):
             for j in range(deg_v + 1):
                 w = bu[du, i] * bv[dv, j]
                 for d in range(dim):
-                    out[k, d] += w * net[su - deg_u + i, sv - deg_v + j, d]
+                    out[k, d] += w * net[su - deg_u + i, (sv - deg_v + j) % net.shape[1], d]
     return out
 
 
@@ -122,14 +124,15 @@ def surface_partial_ref(knots_u, deg_u, knots_v, deg_v, net, us, vs, du, dv):
 
 @st.composite
 def knot_vectors(draw):
-    """(knots, degree): clamped or cyclically extended, interior knots of
-    multiplicity up to the degree."""
+    """(knots, degree, controls): clamped or cyclically extended, interior
+    knots of multiplicity up to the degree, and the number of distinct
+    controls over them."""
     p = draw(st.integers(1, 5))
     distinct = draw(st.lists(st.floats(0.01, 0.99), min_size=0, max_size=6, unique=True))
     mults = draw(st.lists(st.integers(1, p), min_size=len(distinct), max_size=len(distinct)))
     domain = np.concatenate([[0.0], np.sort(np.repeat(distinct, mults)), [1.0]])
     if draw(st.booleans()):
-        return np.concatenate([np.zeros(p), domain, np.ones(p)]), p
+        return np.concatenate([np.zeros(p), domain, np.ones(p)]), p, domain.size + p - 1
     # the period-preserving extension of spline_core.cyclic_knot_vector,
     # here also over repeated domain knots
     n1 = domain.size - 1
@@ -138,7 +141,7 @@ def knot_vectors(draw):
     for i in range(1, p + 1):
         full[p - i] = full[p - i + 1] + full[p + n1 - i] - full[p + n1 - i + 1]
         full[p + n1 + i] = full[p + n1 + i - 1] + full[p + i] - full[p + i - 1]
-    return full, p
+    return full, p, n1
 
 
 def parameters(draw, knots, p, size=None):
@@ -178,22 +181,40 @@ def knot_stacks(draw):
 
 @st.composite
 def curve_cases(draw):
-    knots, p = draw(knot_vectors())
+    knots, p, count = draw(knot_vectors())
     us = parameters(draw, knots, p)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    ctrl = rng.normal(size=(knots.size - p - 1, 3))
+    ctrl = rng.normal(size=(count, 3))
     return knots, p, us, ctrl
 
 
 @st.composite
 def surface_cases(draw):
-    knots_u, p = draw(knot_vectors())
-    knots_v, q = draw(knot_vectors())
+    """Any knot vector in u, with one net row per basis function (rows do
+    not wrap); any in v, with its distinct columns."""
+    knots_u, p, _ = draw(knot_vectors())
+    knots_v, q, cols = draw(knot_vectors())
     us = parameters(draw, knots_u, p)
     vs = parameters(draw, knots_v, q, size=us.size)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    net = rng.normal(size=(knots_u.size - p - 1, knots_v.size - q - 1, 3))
+    net = rng.normal(size=(knots_u.size - p - 1, cols, 3))
     return knots_u, p, knots_v, q, net, us, vs
+
+
+@st.composite
+def short_cyclic_cases(draw):
+    """A closed curve and a surface closed in v whose cyclic knot vector of
+    degree p has n̂+1 <= p distinct controls, so that several local basis
+    functions of a span wrap onto one control."""
+    p = draw(st.integers(2, 6))
+    distinct = draw(st.lists(st.floats(0.01, 0.99), min_size=0, max_size=p - 1, unique=True))
+    kv = spline_core.cyclic_knot_vector(np.concatenate([[0.0], np.sort(distinct), [1.0]]), p)
+    ku = spline_core.clamped_knot_vector([0.0, draw(st.floats(0.01, 0.99)), 1.0], draw(st.integers(1, 3)))
+    us = parameters(draw, kv.knots, p)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    curve = spline_core.BSplineCurve(kv, rng.normal(size=(kv.n_basis - p, 3)))
+    surface = spline_core.BSplineSurface(ku, kv, rng.normal(size=(ku.n_basis, kv.n_basis - p, 3)))
+    return curve, surface, us
 
 
 # --- batched equals point by point ---
@@ -216,12 +237,12 @@ def test_find_span_and_basis_funs(case):
 @settings(deadline=None, max_examples=200)
 @given(curve_cases())
 def test_collocation_matrix(case):
-    knots, p, us, _ctrl = case
-    n_basis = knots.size - p - 1
-    np.testing.assert_array_equal(
-        _kernels.collocation_matrix(knots, p, n_basis, us),
-        collocation_matrix_ref(knots, p, n_basis, us),
-    )
+    knots, p, us, ctrl = case
+    for ncols in (knots.size - p - 1, ctrl.shape[0]):  # every basis function, and wrapped
+        np.testing.assert_array_equal(
+            _kernels.collocation_matrix(knots, p, ncols, us),
+            collocation_matrix_ref(knots, p, ncols, us),
+        )
 
 
 @settings(deadline=None, max_examples=200)
@@ -285,3 +306,44 @@ def test_stacked_knot_rows_equal_row_by_row(case):
         wrap[np.arange(p), n_basis - p + np.arange(p)] = -1.0
         np.testing.assert_array_equal(matrix[u.size:], wrap)
         assert not batch[b, u.size + p:].any() and not batch[b, :, n_basis:].any()
+
+
+@settings(deadline=None, max_examples=100)
+@given(short_cyclic_cases(), st.integers(0, 6))
+def test_wrapped_controls_equal_expanded_storage(case, order):
+    # n̂+1 <= p: one span reaches a distinct control more than once.  Reading
+    # control j mod n̂+1 gives, bit for bit, what the kernels give on the
+    # controls copied out to one per basis function (expanded storage), and
+    # collocation columns wrapped as they are added equal the full matrix
+    # with column j folded onto column j mod n̂+1.
+    curve, surface, us = case
+    kv, ctrl, p = curve.knots, curve.control_points, curve.degree
+    full = ctrl[np.arange(kv.n_basis) % ctrl.shape[0]]
+    points = spline_core.eval_curve(curve, us)
+    assert points.tobytes() == _kernels.curve_points(kv.knots, p, full, us).tobytes()
+    assert points.tobytes() == curve_points_ref(kv.knots, p, ctrl, us).tobytes()
+    order = min(order, p)
+    ders = _kernels.curve_derivatives(kv.knots, p, ctrl, us, order)
+    assert ders.tobytes() == _kernels.curve_derivatives(kv.knots, p, full, us, order).tobytes()
+    assert ders.tobytes() == curve_derivatives_ref(kv.knots, p, ctrl, us, order).tobytes()
+
+    folded = _kernels.collocation_matrix(kv.knots, p, kv.n_basis, us)
+    cols = ctrl.shape[0]
+    for j in range(cols, kv.n_basis):
+        folded[:, j % cols] += folded[:, j]
+    wrapped = _kernels.collocation_matrix(kv.knots, p, cols, us)
+    assert wrapped.tobytes() == folded[:, :cols].copy().tobytes()
+    assert wrapped.tobytes() == collocation_matrix_ref(kv.knots, p, cols, us).tobytes()
+
+    ku, net = surface.knots_u, surface.control_net
+    vs = us[::-1].copy()
+    uu = np.linspace(0.0, 1.0, us.size)
+    net_full = net[:, np.arange(kv.n_basis) % net.shape[1]]
+    args = (ku.knots, ku.degree, kv.knots, p)
+    pts = spline_core.eval_surface(surface, uu, vs)
+    assert pts.tobytes() == _kernels.surface_points(*args, net_full, uu, vs).tobytes()
+    assert pts.tobytes() == surface_points_ref(*args, net, uu, vs).tobytes()
+    du, dv = min(order, ku.degree), order
+    part = spline_core.surface_partial(surface, uu, vs, du, dv)
+    assert part.tobytes() == _kernels.surface_partial(*args, net_full, uu, vs, du, dv).tobytes()
+    assert part.tobytes() == surface_partial_ref(*args, net, uu, vs, du, dv).tobytes()

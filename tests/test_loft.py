@@ -8,7 +8,7 @@ from closedloft import param_knots as pk
 from closedloft import spline_core as sc
 from closedloft.errors import InvalidInputError
 
-from conftest import circle_points, tube_rows
+from conftest import circle_points, expanded, tube_rows
 
 
 def _seam_error(surface, max_order):
@@ -231,12 +231,12 @@ def test_park_row_energy_not_above_witness_square(rng):
         t = pk.closed_parameters(r)
         problem = ClosedInterpolationProblem(r, t, domain, 3)
         res = interpolate_closed_energy(problem)
-        e_energy = la.curve_energy(stiff, res.curve.expanded_controls())
+        e_energy = la.curve_energy(stiff, expanded(res.curve))
         ok, witness = pk.check_conjecture2(t, domain, 3)
         assert ok
         sq = interpolate_closed_square(ClosedInterpolationProblem(r, t, witness, 3))
         e_square = la.curve_energy(
-            la.stiffness_matrix(sq.curve.knots, 1.0, 0.2), sq.curve.expanded_controls()
+            la.stiffness_matrix(sq.curve.knots, 1.0, 0.2), expanded(sq.curve)
         )
         assert e_energy <= e_square + 1e-9
 
@@ -362,4 +362,23 @@ def test_loft_open_requires_enough_rows():
     xs = np.linspace(0, 1, 6)
     rows = [np.stack([xs, np.zeros_like(xs), np.zeros_like(xs)], axis=1)]
     with pytest.raises(InvalidInputError):
+        lf.loft_open(rows, 3, 3)
+
+
+def _open_rows(count=4, points=8):
+    xs = np.linspace(0, 1, points)
+    return [np.stack([xs, np.full_like(xs, y), xs * y], axis=1) for y in np.linspace(0, 1, count)]
+
+
+def test_loft_open_names_the_row_and_point_of_a_repeat():
+    rows = _open_rows()
+    rows[2][4] = rows[2][3]
+    with pytest.raises(InvalidInputError, match="^row 2: coincident consecutive points at index 3$"):
+        lf.loft_open(rows, 3, 3)
+
+
+def test_loft_open_names_a_row_too_short_for_the_degree():
+    rows = _open_rows()
+    rows[2] = rows[2][:3]
+    with pytest.raises(InvalidInputError, match="^row 2: need at least p\\+1 = 4 parameters, got 3$"):
         lf.loft_open(rows, 3, 3)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from closedloft import spline_core as sc
 from closedloft.errors import DomainError, InvalidInputError
 
-from conftest import circle_points, random_closed_curve
+from conftest import circle_points, expanded, random_closed_curve
 
 
 # --- knot vector construction ---
@@ -158,8 +158,8 @@ def test_basis_domain_error():
 
 
 _KV = sc.clamped_knot_vector([0, 0.5, 1], 2)
-_CURVE = sc.BSplineCurve(2, _KV, np.arange(12.0).reshape(4, 3), kind="open")
-_SURFACE = sc.BSplineSurface(2, 2, _KV, _KV, np.arange(48.0).reshape(4, 4, 3))
+_CURVE = sc.BSplineCurve(_KV, np.arange(12.0).reshape(4, 3))
+_SURFACE = sc.BSplineSurface(_KV, _KV, np.arange(48.0).reshape(4, 4, 3))
 _ENTRY_POINTS = {
     "find_span": lambda u: sc.find_span(_KV, u),
     "nonzero_basis": lambda u: sc.nonzero_basis(_KV, u),
@@ -228,7 +228,7 @@ def test_closed_curve_closure(rng):
 def test_one_point_closed_curve_evaluates_to_its_point():
     # one distinct control, degree 2: the wrap repeats the point twice
     kv = sc.cyclic_knot_vector([0, 1], 2)
-    c = sc.BSplineCurve(2, kv, np.array([[1.0, 2.0, 3.0]]), "closed")
+    c = sc.BSplineCurve(kv, np.array([[1.0, 2.0, 3.0]]))
     np.testing.assert_allclose(sc.eval_curve(c, [0.0, 0.3, 0.99]), [[1.0, 2.0, 3.0]] * 3, atol=1e-14)
 
 
@@ -237,26 +237,39 @@ def test_closed_curve_with_fewer_controls_than_degree_wraps_cyclically():
 
     kv = sc.cyclic_knot_vector([0, 0.4, 1], 3)  # two distinct controls
     ctrl = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, -1.0]])
-    c = sc.BSplineCurve(3, kv, ctrl, "closed")
-    expanded = c.expanded_controls()
-    np.testing.assert_array_equal(expanded, ctrl[[0, 1, 0, 1, 0]])
+    c = sc.BSplineCurve(kv, ctrl)
+    full = expanded(c)
+    np.testing.assert_array_equal(full, ctrl[[0, 1, 0, 1, 0]])
     u = np.linspace(0.0, 1.0, 23)
-    np.testing.assert_allclose(sc.eval_curve(c, u), BSpline(kv.knots, expanded, 3)(u), atol=1e-13)
+    np.testing.assert_allclose(sc.eval_curve(c, u), BSpline(kv.knots, full, 3)(u), atol=1e-13)
 
 
 def test_surface_with_one_cyclic_column_evaluates():
     ku = sc.clamped_knot_vector([0, 1], 1)
     kv = sc.cyclic_knot_vector([0, 1], 2)
     net = np.array([[[0.0, 0.0, 0.0]], [[2.0, 4.0, 6.0]]])
-    s = sc.BSplineSurface(1, 2, ku, kv, net)
+    s = sc.BSplineSurface(ku, kv, net)
     u = np.array([0.0, 0.25, 1.0])
     pts = sc.eval_surface(s, u, np.array([0.5, 0.0, 0.9]))
     np.testing.assert_allclose(pts, u[:, None] * [2.0, 4.0, 6.0], atol=1e-14)
 
 
+def test_degree_and_kind_are_read_from_the_knot_vector():
+    closed = sc.BSplineCurve(sc.cyclic_knot_vector([0, 0.5, 1], 3), np.zeros((2, 3)))
+    assert (closed.degree, closed.kind) == (3, "closed")
+    open_ = sc.BSplineCurve(_KV, np.zeros((4, 3)))
+    assert (open_.degree, open_.kind) == (2, "open")
+    s = sc.BSplineSurface(sc.clamped_knot_vector([0, 1], 1), sc.cyclic_knot_vector([0, 0.5, 1], 3), np.zeros((2, 2, 3)))
+    assert (s.degree_u, s.degree_v, s.closed_v) == (1, 3, True)
+    with pytest.raises(InvalidInputError, match="closed curve needs 2 control points, got 5"):
+        sc.BSplineCurve(closed.knots, np.zeros((5, 3)))  # the expanded count is not accepted
+    with pytest.raises(InvalidInputError, match="open curve needs 4 control points, got 2"):
+        sc.BSplineCurve(_KV, np.zeros((2, 3)))
+
+
 def test_open_linear_midpoint():
     kv = sc.clamped_knot_vector([0, 1], 1)
-    c = sc.BSplineCurve(1, kv, np.array([[0, 0, 0], [1, 0, 0]], float), "open")
+    c = sc.BSplineCurve(kv, np.array([[0, 0, 0], [1, 0, 0]], float))
     np.testing.assert_allclose(sc.eval_curve(c, 0.5), [0.5, 0, 0])
 
 
@@ -294,7 +307,7 @@ def test_seam_derivative_continuity(rng):
 def test_bilinear_patch_corners():
     kv = sc.clamped_knot_vector([0, 1], 1)
     net = np.array([[[0, 0, 0], [0, 1, 0]], [[1, 0, 0], [1, 1, 1]]], float)
-    s = sc.BSplineSurface(1, 1, kv, kv, net)
+    s = sc.BSplineSurface(kv, kv, net)
     np.testing.assert_allclose(sc.eval_surface(s, 0, 0), net[0, 0])
     np.testing.assert_allclose(sc.eval_surface(s, 1, 0), net[1, 0])
     np.testing.assert_allclose(sc.eval_surface(s, 0, 1), net[0, 1])
@@ -305,7 +318,7 @@ def test_cyclic_v_surface_wraps(rng):
     ku = sc.clamped_knot_vector([0, 0.5, 1], 2)
     kv = sc.cyclic_knot_vector([0, 0.2, 0.4, 0.6, 0.8, 1], 3)
     net = rng.normal(size=(ku.n_basis, kv.n_basis - 3, 3))
-    s = sc.BSplineSurface(2, 3, ku, kv, net)
+    s = sc.BSplineSurface(ku, kv, net)
     assert s.closed_v
     us = np.linspace(0, 1, 10)
     p0 = sc.eval_surface(s, us, np.zeros(10))
@@ -318,20 +331,20 @@ def test_cyclic_v_surface_wraps(rng):
 def test_clamp_degree_one_keeps_controls(rng):
     c = random_closed_curve(rng, 1)
     clamped = sc.clamp_closed_curve(c)
-    np.testing.assert_array_equal(clamped.control_points, c.expanded_controls())
+    np.testing.assert_array_equal(clamped.control_points, expanded(c))
 
 
 def test_clamp_p2_uniform_first_control():
     kv = sc.cyclic_knot_vector([0, 0.25, 0.5, 0.75, 1], 2)
     ctrl = np.arange(12, dtype=float).reshape(4, 3)
-    c = sc.BSplineCurve(2, kv, ctrl, kind="closed")
+    c = sc.BSplineCurve(kv, ctrl)
     clamped = sc.clamp_closed_curve(c)
     np.testing.assert_allclose(clamped.control_points[0], 0.5 * ctrl[0] + 0.5 * ctrl[1])
 
 
 def test_clamp_requires_cyclic():
     kv = sc.clamped_knot_vector([0, 0.5, 1], 2)
-    c = sc.BSplineCurve(2, kv, np.zeros((4, 3)), "open")
+    c = sc.BSplineCurve(kv, np.zeros((4, 3)))
     with pytest.raises(InvalidInputError):
         sc.clamp_closed_curve(c)
 
@@ -354,7 +367,7 @@ def test_refine_no_knots_is_identity(rng):
 
 def test_refine_linear_subdivision():
     kv = sc.clamped_knot_vector([0, 1], 1)
-    c = sc.BSplineCurve(1, kv, np.array([[0, 0, 0], [1, 0, 0]], float), "open")
+    c = sc.BSplineCurve(kv, np.array([[0, 0, 0], [1, 0, 0]], float))
     refined = sc.refine_knots(c, [0.5])
     np.testing.assert_allclose(refined.control_points[1], [0.5, 0, 0])
     np.testing.assert_array_equal(refined.knots.knots, [0, 0, 0.5, 1, 1])
@@ -377,7 +390,7 @@ def test_refine_rejects_out_of_domain(rng):
 def _cubic_with_interior(interior):
     kv = sc.KnotVector(np.concatenate([np.zeros(4), interior, np.ones(4)]), 3, "clamped")
     ctrl = np.random.default_rng(3).normal(size=(kv.n_basis, 3))
-    return sc.BSplineCurve(3, kv, ctrl, "open")
+    return sc.BSplineCurve(kv, ctrl)
 
 
 @pytest.mark.parametrize("existing, added", [([0.5], 2), ([], 3)])
@@ -435,7 +448,7 @@ def refinement_cases(draw):
     kv = sc.KnotVector(np.concatenate([np.zeros(p + 1), interior, np.ones(p + 1)]), p, "clamped")
     seed = draw(st.integers(0, 2**32 - 1))
     ctrl = np.random.default_rng(seed).normal(size=(kv.n_basis, 3))
-    curve = sc.BSplineCurve(p, kv, ctrl, "open")
+    curve = sc.BSplineCurve(kv, ctrl)
     return curve, np.asarray(added), added[:split], added[split:]
 
 
