@@ -9,13 +9,20 @@ Contours (CSV): one ``x y z`` line per point, blank line between rows,
 ``#`` comments ignored.
 
 Surfaces: a JSON document carrying degrees, style-tagged knot vectors, the
-control net and a provenance block.  Numbers are written with shortest
-round-trip ``repr`` (at most 17 significant digits), so parsing a serialized
-surface reproduces it bit-exactly.  The writer lays the document out exactly
-as ``json.dumps(doc, indent=1, sort_keys=True)`` does, byte for byte, but
-fills the float arrays into a precomputed ``%s`` template instead of running
-json's per-element Python encoder (which ``indent`` forces).  OBJ meshes are
-template fills too.
+control net and a provenance block.  Every number in a surface document or
+an OBJ mesh is the text of ``float.__repr__``, byte for byte (at most 17
+significant digits, the shortest that reads back as the same double), so
+parsing a serialized surface reproduces it bit-exactly.  The numbers come
+from ``_floattext``, which formats a whole document's values in bulk, 8,192
+at a time, and prints a value with ``float.__repr__`` itself wherever it
+cannot certify the digits.  The writer lays the document out exactly as
+``json.dumps(doc, indent=1, sort_keys=True)`` does, byte for byte, without
+json's per-element Python encoder (which ``indent`` forces): each value's
+fixed-width text field is followed by the separator the layout puts after
+it, and one ``bytes.translate`` per chunk drops the NUL padding.  OBJ
+vertices and faces are written the same way.  The reader checks field types:
+degrees are JSON integers, ``closed_v`` a boolean, knot values and the net
+lists of numbers.
 
 Exit codes: 0 success, 1 input validation failure, 2 numerical failure,
 3 conjecture counterexample found, 64 bad flags.
@@ -31,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _floattext
 from .conjecture_lab import (
     TrialConfig,
     boundary_stress,
@@ -201,24 +208,120 @@ def _field(doc, key, what):
         raise InvalidInputError(f"{what} has no {key!r} field") from None
 
 
+def _int_field(doc, key, what):
+    value = _field(doc, key, what)
+    if type(value) is not int:  # json reads an integer as int; a bool is not one
+        raise InvalidInputError(f"{what} field {key!r} must be an integer, got {json.dumps(value)}")
+    return value
+
+
+def _number_array(value, ndim, name):
+    """``value`` as a float array, if it is a list of JSON numbers nested
+    ``ndim`` deep."""
+    try:
+        arr = np.array(value) if isinstance(value, list) else None
+    except ValueError:  # ragged
+        arr = None
+    if arr is not None and arr.ndim == ndim and arr.dtype.kind in "iuf":
+        leaves = value
+        for _ in range(ndim - 1):
+            leaves = itertools.chain.from_iterable(leaves)
+        if bool not in map(type, leaves):  # numpy reads true among numbers as 1
+            return arr.astype(float)
+    shape = "a flat list" if ndim == 1 else f"a list nested {ndim} deep"
+    raise InvalidInputError(f"{name} must be {shape} of numbers")
+
+
+def _load_json(text, what):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InvalidInputError(f"malformed {what} at line {exc.lineno}, column {exc.colno}") from None
+
+
 def _knots_from_payload(payload):
-    values = np.asarray(_field(payload, "values", "knot vector"), dtype=float)
-    if values.ndim != 1:  # say so before KnotVector's message about padded batches
-        raise InvalidInputError("knot values must be a flat list of numbers")
-    degree = int(_field(payload, "degree", "knot vector"))
+    values = _number_array(_field(payload, "values", "knot vector"), 1, "knot values")
+    degree = _int_field(payload, "degree", "knot vector")
     return KnotVector(values, degree, _field(payload, "style", "knot vector"))
 
 
 def _join_ascii(pieces):
-    """Concatenate ASCII text pieces while holding only one of them.
+    """Concatenate ASCII byte pieces into text while holding only one of them.
 
     A list of all the pieces of a large document would stay allocated until
     the join and leave the allocator's heap fragmented afterwards.
     """
     buf = bytearray()
     for piece in pieces:
-        buf += piece.encode("ascii")
+        buf += piece
     return buf.decode("ascii")
+
+
+# Values formatted at a time.  The formatter holds about 300 bytes a value
+# in temporaries, so this bounds the memory held besides the document; it
+# still takes a small document (a 40-row per-1 net) in one call.
+_CHUNK = 8192
+
+
+def _value_runs(arrays):
+    """The arrays' values in order, in runs of _CHUNK (the last one shorter)."""
+    run, held = [], 0
+    for arr in arrays:
+        flat = np.ravel(arr)
+        while flat.size:
+            part, flat = flat[:_CHUNK - held], flat[_CHUNK - held:]
+            run.append(part)
+            held += part.size
+            if held == _CHUNK:
+                yield np.concatenate(run)
+                run, held = [], 0
+    if run:
+        yield np.concatenate(run)
+
+
+class _Fields:
+    """Text fields (see ``_floattext``) of a stream of values, handed out in
+    order: ``take(count)`` gives the next ``count`` rows."""
+
+    def __init__(self, chunks):
+        self._chunks = iter(chunks)
+        self._head = ()
+
+    def take(self, count):
+        parts = []
+        while count:
+            if not len(self._head):
+                self._head = next(self._chunks)
+            part, self._head = self._head[:count], self._head[count:]
+            parts.append(part)
+            count -= len(part)
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _formatted(arrays):
+    """``float.__repr__`` fields of the arrays' values, formatted a run at
+    a time: one formatter call for a small document."""
+    return _Fields(map(_floattext.float_fields, _value_runs(arrays)))
+
+
+def _filled(head, seps, tail, count, fields):
+    """Pieces of ``head v0 s0 v1 s1 ... v(count-1) tail``: the values are
+    the next ``count`` of ``fields``, the separators ``seps`` repeat, and
+    ``tail`` takes the place of the last one.  All are ASCII bytes."""
+    period = len(seps)
+    width = max(map(len, seps + [tail]))
+    rows = min(max(1, _CHUNK // period), -(-count // period)) * period
+    sep = np.array(seps, dtype=f"S{width}").view(np.uint8).reshape(period, width)
+    sep = np.tile(sep, (rows // period, 1))
+    yield head
+    for start in range(0, count, rows):
+        f = fields.take(min(rows, count - start))
+        block = np.empty((len(f), f.shape[1] + width), np.uint8)
+        block[:, :f.shape[1]] = f
+        block[:, f.shape[1]:] = sep[:len(f)]
+        if start + rows >= count:
+            block[-1, f.shape[1]:] = np.frombuffer(tail.ljust(width, b"\0"), np.uint8)
+        yield block.tobytes().translate(None, b"\0")
 
 
 def _indented(text, level):
@@ -233,10 +336,10 @@ def _object_parts(items, level):
     inner = "\n" + " " * (level + 1)
     sep = "{"
     for k, v in sorted(items.items()):
-        yield sep + inner + json.dumps(k) + ": "
+        yield (sep + inner + json.dumps(k) + ": ").encode()
         yield from v
         sep = ","
-    yield "\n" + " " * level + "}"
+    yield ("\n" + " " * level + "}").encode()
 
 
 def _array_template(shape, level):
@@ -249,25 +352,27 @@ def _array_template(shape, level):
     return "[\n" + inner + (",\n" + inner).join([item] * shape[0]) + "\n" + " " * level + "]"
 
 
-def _float_array_parts(arr, level):
+def _float_array_parts(arr, level, fields):
     """Pieces of json.dumps(arr.tolist(), indent=1) at depth ``level`` for an
-    array with no empty axis, one per top-level row, filled into a template
-    from ``float.__repr__``, which is how json writes a finite float."""
+    array with no empty axis, its values taken from ``fields``: json writes
+    a finite float with ``float.__repr__``."""
     if not np.all(np.isfinite(arr)):
-        yield _indented(json.dumps(arr.tolist(), indent=1), level)
+        fields.take(arr.size)
+        yield _indented(json.dumps(arr.tolist(), indent=1), level).encode()
         return
-    sep = "[\n" + " " * (level + 1)
-    row = _array_template(arr.shape[1:], level + 1)
-    for r in arr.reshape(arr.shape[0], -1):
-        yield sep + row % tuple(map(float.__repr__, r.tolist()))
-        sep = ",\n" + " " * (level + 1)
-    yield "\n" + " " * level + "]"
+    # the layout of one top-level row, split at its values
+    inner = ("\n" + " " * (level + 1)).encode()
+    first, *seps = _array_template(arr.shape[1:], level + 1).encode().split(b"%s")
+    last = seps[-1]
+    seps[-1] = last + b"," + inner + first  # a row's last value runs into the next row
+    end = last + b"\n" + b" " * level + b"]"
+    yield from _filled(b"[" + inner + first, seps, end, arr.size, fields)
 
 
-def _knots_parts(kv, level):
+def _knots_parts(kv, level, fields):
     return _object_parts(
-        {"degree": [json.dumps(kv.degree)], "style": [json.dumps(kv.style)],
-         "values": _float_array_parts(kv.knots, level + 1)},
+        {"degree": [json.dumps(kv.degree).encode()], "style": [json.dumps(kv.style).encode()],
+         "values": _float_array_parts(kv.knots, level + 1, fields)},
         level,
     )
 
@@ -276,41 +381,50 @@ def serialize_surface(surface_file):
     """The surface document, byte for byte as
     ``json.dumps(doc, indent=1, sort_keys=True) + "\\n"`` writes it.
 
-    The float arrays are template fills; the small parts go through json.
+    The float arrays are formatted in bulk (see ``_floattext``); the small
+    parts go through json.
     """
     s = surface_file.surface
+    # the keys are written in sorted order: control_net, knots_u, knots_v
+    fields = _formatted([s.control_net, s.knots_u.knots, s.knots_v.knots])
     doc = {
-        "version": [json.dumps(1)],
-        "degree_u": [json.dumps(s.degree_u)],
-        "degree_v": [json.dumps(s.degree_v)],
-        "knots_u": _knots_parts(s.knots_u, 1),
-        "knots_v": _knots_parts(s.knots_v, 1),
-        "closed_v": [json.dumps(bool(s.closed_v))],
-        "control_net": _float_array_parts(s.control_net, 1),
+        "version": [json.dumps(1).encode()],
+        "degree_u": [json.dumps(s.degree_u).encode()],
+        "degree_v": [json.dumps(s.degree_v).encode()],
+        "knots_u": _knots_parts(s.knots_u, 1, fields),
+        "knots_v": _knots_parts(s.knots_v, 1, fields),
+        "closed_v": [json.dumps(bool(s.closed_v)).encode()],
+        "control_net": _float_array_parts(s.control_net, 1, fields),
         # ensure_ascii (the default) keeps the document ASCII
-        "provenance": [_indented(json.dumps(surface_file.provenance, indent=1, sort_keys=True), 1)],
+        "provenance": [_indented(json.dumps(surface_file.provenance, indent=1, sort_keys=True), 1).encode()],
     }
-    return _join_ascii(itertools.chain(_object_parts(doc, 0), ["\n"]))
+    return _join_ascii(itertools.chain(_object_parts(doc, 0), [b"\n"]))
 
 
 def _surface_knots(doc, side):
     """Knot vector ``knots_<side>`` of a surface document, checked against
     the document's ``degree_<side>``."""
     kv = _knots_from_payload(_field(doc, "knots_" + side, "surface document"))
-    degree = int(_field(doc, "degree_" + side, "surface document"))
+    degree = _int_field(doc, "degree_" + side, "surface document")
     if degree != kv.degree:
         raise InvalidInputError(f"degree_{side} is {degree} but knots_{side} has degree {kv.degree}")
     return kv
 
 
 def parse_surface(text):
-    """The surface document that :func:`serialize_surface` writes.  A missing
-    field, or a degree other than its knot vector's, is an
-    :class:`InvalidInputError`."""
-    doc = json.loads(text)
+    """The surface document that :func:`serialize_surface` writes.  A
+    missing field, a field of the wrong JSON type (degrees are integers,
+    ``closed_v`` a boolean, knot values and the net lists of numbers), or a
+    degree other than its knot vector's is an :class:`InvalidInputError`."""
+    doc = _load_json(text, "surface document")
     knots_u, knots_v = _surface_knots(doc, "u"), _surface_knots(doc, "v")
-    net = np.asarray(_field(doc, "control_net", "surface document"), dtype=float)
-    surface = BSplineSurface(knots_u, knots_v, net, closed_v=bool(doc.get("closed_v", False)))
+    net = _number_array(_field(doc, "control_net", "surface document"), 3, "control_net")
+    closed_v = doc.get("closed_v", False)
+    if type(closed_v) is not bool:
+        raise InvalidInputError(
+            f"surface document field 'closed_v' must be true or false, got {json.dumps(closed_v)}"
+        )
+    surface = BSplineSurface(knots_u, knots_v, net, closed_v=closed_v)
     return SurfaceFile(surface, doc.get("provenance") or {})
 
 
@@ -329,16 +443,17 @@ def export_obj(surface, samples_u, samples_v):
     uu, vv = [a.ravel() for a in np.meshgrid(us, vs, indexing="ij")]
     pts = eval_surface(surface, uu, vv).reshape(su, sv, 3)
     header = f"# closedloft surface mesh {su}x{sv}" + (" (v-seam stitched)" if closed else "")
-    vert_row = "v %s %s %s\n" * sv
-    verts = (vert_row % tuple(map(float.__repr__, r.tolist())) for r in pts.reshape(su, -1))
+    verts = _filled(b"v ", [b" ", b" ", b"\nv "], b"\n", pts.size, _formatted([pts]))
     # quad (i, j) joins rows i, i+1 and columns j, j+1; a closed seam wraps j+1 to 0
     jmax = sv if closed else sv - 1
     i, j = np.meshgrid(np.arange(su - 1), np.arange(jmax), indexing="ij")
     j1 = (j + 1) % sv
-    quads = np.stack([i * sv + j, (i + 1) * sv + j, (i + 1) * sv + j1, i * sv + j1], axis=2) + 1
-    face_row = "f %d %d %d %d\n" * jmax
-    faces = (face_row % tuple(q.tolist()) for q in quads.reshape(su - 1, -1))
-    return _join_ascii(itertools.chain([header + "\n"], verts, faces))
+    quads = np.stack([i * sv + j, (i + 1) * sv + j, (i + 1) * sv + j1, i * sv + j1], axis=2)
+    # the text of vertex k + 1 is row k; an OBJ index has at most as many digits as su*sv
+    names = _floattext.int_fields(np.arange(1, su * sv + 1))[:, -len(str(su * sv)):]
+    corners = _Fields([np.take(names, quads.ravel(), axis=0)])
+    faces = _filled(b"f ", [b" ", b" ", b" ", b"\nf "], b"\n", quads.size, corners)
+    return _join_ascii(itertools.chain([(header + "\n").encode()], verts, faces))
 
 
 def _fmt(x):
@@ -548,7 +663,7 @@ def cmd_interp_curve(args):
         if not args.input_knots:
             raise _UsageError("--knot-method input requires --input-knots")
         with open(args.input_knots, "r", encoding="utf-8") as fh:
-            kv_in = _knots_from_payload(json.load(fh))
+            kv_in = _knots_from_payload(_load_json(fh.read(), "knot file"))
         params = closed_parameters(points)
         out = interpolate_points_by_input_knots(points, params, kv_in, args.degree, args.per)
         extra["per"] = args.per

@@ -5,15 +5,14 @@ Dense factorizations are delegated to LAPACK (scipy/numpy); the no-pivot
 banded elimination and all assembly code live here.  Collocation systems
 are dense row-major.  Stiffness matrices and KKT systems, which reach a few
 thousand unknowns when rows share many domain knots, are sparse and are
-factored by SuperLU; ``scipy.sparse`` is imported by the functions that use
-it, so importing the package does not load it.
+factored by SuperLU.  ``scipy.linalg`` and ``scipy.sparse`` are imported by
+the functions that use them, so importing the package does not load scipy.
 """
 
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import _kernels
 from .errors import InvalidInputError, SingularSystemError, ZeroPivotError
@@ -157,6 +156,8 @@ def periodic_collocation(params, kv):
 
 def solve_dense(matrix, rhs):
     """LU solve with partial pivoting; raises on numerically singular input."""
+    import scipy.linalg  # here, not at the top: `import closedloft` stays lean
+
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidInputError("solve_dense requires a square matrix")

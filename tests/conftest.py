@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 
 def circle_points(count, radius=1.0, z=0.0, phase=0.0):
@@ -62,3 +63,11 @@ def expanded(curve):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+def fast_range_floats():
+    """Floats that ``repr`` writes without an exponent, 1e-4 <= |x| < 1e16,
+    of either sign: any such magnitude, or a short decimal k / 10**j."""
+    magnitude = st.floats(min_value=1e-4, max_value=1e16, exclude_max=True)
+    decimal = st.builds(lambda k, j: k / 10**j, st.integers(1, 10**9), st.integers(0, 12))
+    return st.tuples(magnitude | decimal, st.booleans()).map(lambda t: -t[0] if t[1] else t[0])

@@ -12,7 +12,7 @@ from closedloft import cli_io, conjecture_lab, curve_interp, linalg_solve, loft
 from closedloft import spline_core as sc
 from closedloft.errors import InvalidInputError
 
-from conftest import circle_points, square_points, tube_rows
+from conftest import circle_points, fast_range_floats, square_points, tube_rows
 
 
 def _write(tmp_path, name, text):
@@ -140,6 +140,40 @@ def test_parse_surface_rejects_a_degree_its_knots_do_not_have(rng):
         cli_io.parse_surface(json.dumps(doc))
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"degree_u": "three"}, "surface document field 'degree_u' must be an integer, got \"three\""),
+    ({"degree_u": None}, "surface document field 'degree_u' must be an integer, got null"),
+    ({"degree_v": True}, "surface document field 'degree_v' must be an integer, got true"),
+    ({"knots_u": {"style": "clamped", "degree": 2.7, "values": [0, 0, 0, 1, 1, 1]}, "degree_u": 2.7},
+     "knot vector field 'degree' must be an integer, got 2.7"),
+    ({"knots_v": {"style": "cyclic", "degree": "x", "values": [0, 1]}},
+     "knot vector field 'degree' must be an integer, got \"x\""),
+    ({"knots_u": {"style": "clamped", "degree": 2, "values": "0 0 0 1 1 1"}},
+     "knot values must be a flat list of numbers"),
+    ({"knots_u": {"style": "clamped", "degree": 2, "values": [0, 0, 0, "1", 1, 1]}},
+     "knot values must be a flat list of numbers"),
+    ({"control_net": "[[[0, 0, 0]]]"}, "control_net must be a list nested 3 deep of numbers"),
+    ({"control_net": [[[0, 0, None]]]}, "control_net must be a list nested 3 deep of numbers"),
+    ({"control_net": [[[0, 0, 0]], [[0, 0]]]}, "control_net must be a list nested 3 deep of numbers"),
+    ({"control_net": [[[0, 0, 0]], [[0, True, 0]]]}, "control_net must be a list nested 3 deep of numbers"),
+    ({"knots_u": {"style": "clamped", "degree": 2, "values": [0, 0, False, 1, 1, 1]}},
+     "knot values must be a flat list of numbers"),
+    ({"closed_v": "no"}, "surface document field 'closed_v' must be true or false, got \"no\""),
+    ({"closed_v": 0}, "surface document field 'closed_v' must be true or false, got 0"),
+])
+def test_parse_surface_checks_field_types(rng, change, message):
+    doc = json.loads(cli_io.serialize_surface(cli_io.SurfaceFile(_small_surface(rng))))
+    doc.update(change)
+    with pytest.raises(InvalidInputError) as info:
+        cli_io.parse_surface(json.dumps(doc))
+    assert str(info.value) == message
+
+
+def test_parse_surface_rejects_malformed_json():
+    with pytest.raises(InvalidInputError, match="malformed surface document at line 1, column 2"):
+        cli_io.parse_surface("{]")
+
+
 # --- OBJ export ---
 
 def test_obj_bilinear_patch():
@@ -181,11 +215,12 @@ def test_obj_sample_validation(rng):
 
 # --- pinned file formats ---
 #
-# tests/data holds surface files and meshes written by the per-element
-# writers that the template writers replaced.  The golden surfaces have
-# degree 2 and knots on a 1/4 grid, so every basis value at the dyadic
-# sample parameters, and every mesh coordinate, is exact: the meshes pin the
-# OBJ text, not the rounding of the evaluation kernels.
+# tests/data holds surface files and meshes written by per-element writers
+# (json.dumps and a loop of float.__repr__), before the bulk writers.  The
+# golden surfaces have degree 2 and knots on a 1/4 grid, so every basis
+# value at the dyadic sample parameters, and every mesh coordinate, is
+# exact: the meshes pin the OBJ text, not the rounding of the evaluation
+# kernels.
 
 SPECIAL_FLOATS = (-0.0, 5e-324, 1e-300, 1e16, 1e22, 0.1, 1.0 / 3.0, 2.0**53, -2.5e-8, 7.0)
 
@@ -249,6 +284,7 @@ _coords = st.one_of(
     st.sampled_from(SPECIAL_FLOATS + (1e300, -1e-320, 123456789.0)),
     st.floats(allow_nan=False, allow_infinity=False),
     st.integers(-10**6, 10**6).map(float),
+    fast_range_floats(),  # the bulk formatter's own path; most draws above fall back
 )
 _json_leaves = st.one_of(
     st.none(), st.booleans(), st.integers(-10**20, 10**20),
@@ -575,6 +611,22 @@ def test_cmd_interp_curve_nested_input_knots_exit_1(tmp_path):
     )
     assert code == 1
     assert "closedloft: invalid input: knot values must be a flat list of numbers" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"style": "clamped", "degree": "x", "values": [0, 0, 0, 0, 1, 1, 1, 1]}',
+     "knot vector field 'degree' must be an integer, got \"x\""),
+    ('{"style": "clamped", "degree": 3, "values": [0, 0, 0, 0, 1, 1, 1, 1]',
+     "malformed knot file at line 1, column 69"),
+], ids=["degree", "malformed"])
+def test_cmd_interp_curve_input_knots_of_wrong_type_exit_1(tmp_path, text, message):
+    inp = _write(tmp_path, "c12.json", json.dumps({"version": 1, "rows": [circle_points(12).tolist()]}))
+    kpath = _write(tmp_path, "knots.json", text)
+    code, _, err = _run(
+        ["interp-curve", "--input", inp, "--closed", "--degree", "3",
+         "--knot-method", "input", "--input-knots", kpath]
+    )
+    assert (code, err) == (1, f"closedloft: invalid input: {message}\n")
 
 
 def test_cmd_interp_curve_multi_row_rejected(tmp_path):

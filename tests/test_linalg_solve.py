@@ -487,11 +487,12 @@ def test_kkt_bend_only_stiffness_degenerate_on_lines():
     assert info.value.rank_report.rank < kv.n_basis + 1
 
 
-def test_import_loads_no_scipy_sparse():
-    # scipy.sparse costs tens of milliseconds of every CLI start; it is
-    # imported by the functions that use it
+def test_import_loads_no_scipy():
+    # scipy.linalg (which loads numpy.f2py) and scipy.sparse cost a few tenths
+    # of a second of every CLI start; they are imported by the functions
+    # that use them
     src = os.path.dirname(os.path.dirname(os.path.abspath(closedloft.__file__)))
-    code = "import sys, closedloft; print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"
+    code = "import sys, closedloft.cli_io; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run(
         [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
         capture_output=True, text=True, check=True,
