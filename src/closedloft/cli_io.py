@@ -84,11 +84,11 @@ class ContourParseError(InvalidInputError):
 
 def _reject_duplicates(rows):
     for i, row in enumerate(rows):
-        for j in range(1, len(row)):
-            if np.array_equal(row[j], row[j - 1]):
-                raise ContourParseError(
-                    f"row {i}: repeated consecutive point at index {j}"
-                )
+        repeats = (row[1:] == row[:-1]).all(axis=1)
+        if repeats.any():
+            raise ContourParseError(
+                f"row {i}: repeated consecutive point at index {np.argmax(repeats) + 1}"
+            )
 
 
 def _rows_from_json(text):
@@ -355,11 +355,8 @@ def _array_template(shape, level):
 def _float_array_parts(arr, level, fields):
     """Pieces of json.dumps(arr.tolist(), indent=1) at depth ``level`` for an
     array with no empty axis, its values taken from ``fields``: json writes
-    a finite float with ``float.__repr__``."""
-    if not np.all(np.isfinite(arr)):
-        fields.take(arr.size)
-        yield _indented(json.dumps(arr.tolist(), indent=1), level).encode()
-        return
+    a finite float with ``float.__repr__``, and knot vectors and control
+    nets are finite."""
     # the layout of one top-level row, split at its values
     inner = ("\n" + " " * (level + 1)).encode()
     first, *seps = _array_template(arr.shape[1:], level + 1).encode().split(b"%s")

@@ -25,7 +25,6 @@ from .linalg_solve import (
     semi_bandwidth,
     solve_banded_no_pivot,
     solve_dense,
-    stiffness_matrix,
     solve_kkt,
 )
 from .param_knots import (
@@ -152,34 +151,30 @@ def interpolate_open(points, params, kv):
     return InterpolationResult(curve, residual, matrix)
 
 
-def _closed_condition(problem, warn):
-    if not problem.parity_ok:
-        if warn:
-            warnings.warn(
-                f"degree-{problem.degree} closed interpolation with "
-                f"{'shifted' if problem.params.shifted else 'unshifted'} parameters: "
-                "the invertibility condition cannot be checked and the system "
-                "may be ill-conditioned",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        return None
-    return check_conjecture1(problem.params, problem.domain_knots, problem.degree)
-
-
-def interpolate_closed_square(problem, check_condition=True):
+def interpolate_closed_square(problem):
     """Square closed interpolation (as many distinct controls as points)."""
     if problem.nhat != problem.n:
         raise InvalidInputError("square closed interpolation requires nhat == n")
     p = problem.degree
-    verdict = _closed_condition(problem, warn=check_condition)
-    if check_condition and verdict is False:
+    if not problem.parity_ok:
+        verdict = None
         warnings.warn(
-            "domain knots violate the closed interpolation condition; "
-            "the system matrix may be singular",
+            f"degree-{p} closed interpolation with "
+            f"{'shifted' if problem.params.shifted else 'unshifted'} parameters: "
+            "the invertibility condition cannot be checked and the system "
+            "may be ill-conditioned",
             RuntimeWarning,
             stacklevel=2,
         )
+    else:
+        verdict = check_conjecture1(problem.params, problem.domain_knots, p)
+        if not verdict:
+            warnings.warn(
+                "domain knots violate the closed interpolation condition; "
+                "the system matrix may be singular",
+                RuntimeWarning,
+                stacklevel=2,
+            )
     kv = cyclic_knot_vector(problem.domain_knots, p)
     matrix = periodic_collocation(problem.params, kv)
     try:
@@ -193,20 +188,15 @@ def interpolate_closed_square(problem, check_condition=True):
     return _finish_closed(problem, kv, matrix, ctrl, verdict)
 
 
-def interpolate_closed_energy(problem, alpha=None, beta=None, stiff=None):
+def interpolate_closed_energy(problem, stiff):
     """Under-determined closed interpolation by constrained energy minimization.
 
     Refuses to run when no subsequence of the domain knots satisfies the
     square condition, since full rank of the constraint block is then not
-    guaranteed.  The energy is that of ``stiffness_matrix(kv, alpha, beta)``
-    on the cyclic knot vector of the domain knots, with stretch weight
-    ``alpha`` (default 1.0) and bend weight ``beta`` (default 0.2).  Rows
-    lofted on one set of domain knots share that matrix: a caller that built
-    it passes it as ``stiff`` instead of the weights, and giving both is an
-    error, since the weights would not be the ones used.
+    guaranteed.  The energy is ``stiff``, a ``stiffness_matrix(kv, alpha,
+    beta)`` on the cyclic knot vector of the domain knots; rows lofted on
+    one set of domain knots share it.
     """
-    if stiff is not None and (alpha is not None or beta is not None):
-        raise InvalidInputError("give the stiffness matrix or its weights, not both")
     p = problem.degree
     if not problem.parity_ok:
         raise ContractError(
@@ -223,9 +213,7 @@ def interpolate_closed_energy(problem, alpha=None, beta=None, stiff=None):
 
     kv = cyclic_knot_vector(problem.domain_knots, p)
     matrix = periodic_collocation(problem.params, kv)
-    if stiff is None:
-        stiff = stiffness_matrix(kv, 1.0 if alpha is None else alpha, 0.2 if beta is None else beta)
-    elif np.shape(stiff) != (kv.n_basis, kv.n_basis):
+    if np.shape(stiff) != (kv.n_basis, kv.n_basis):
         raise InvalidInputError("stiffness matrix does not match the knot vector")
     # EᵀKE: fold rows and columns like the collocation columns; solve_kkt
     # sums the duplicate entries
@@ -284,7 +272,6 @@ class InputKnotInterpolation:
     """Output bundle of the interpolate-against-input-knots pipeline."""
 
     curve: BSplineCurve          # clamped
-    clamped_knots: KnotVector
     updated_input: KnotVector
     result: InterpolationResult  # the underlying closed square solve
     solve_params: object = None  # parameters the curve interpolates at
@@ -309,7 +296,7 @@ def interpolate_points_by_input_knots(points, params, input_kv, degree, per):
     result = interpolate_closed_square(problem)
     clamped = clamp_closed_curve(result.curve)
     updated = merge_knot_vectors(input_kv, clamped.knots)
-    return InputKnotInterpolation(clamped, clamped.knots, updated, result, solve_params)
+    return InputKnotInterpolation(clamped, updated, result, solve_params)
 
 
 def build_domain_knots_by_input_knots(params, input_domain, degree, per):

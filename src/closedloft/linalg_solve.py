@@ -207,10 +207,9 @@ def solve_banded_no_pivot(matrix, semi_bandwidth, rhs):
     return b if np.ndim(rhs) > 1 else b[:, 0]
 
 
-def semi_bandwidth(matrix, tol=0.0):
+def semi_bandwidth(matrix):
     """Largest |i - j| with a nonzero entry."""
-    m = np.asarray(matrix)
-    rows, cols = np.nonzero(np.abs(m) > tol)
+    rows, cols = np.nonzero(matrix)
     return int(np.abs(rows - cols).max()) if rows.size else 0
 
 

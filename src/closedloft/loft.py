@@ -13,6 +13,7 @@ An open-section pipeline (per-row averaging knots, merge, refine) serves as
 the traditional baseline.
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import reduce
 from typing import List, Optional
@@ -86,13 +87,6 @@ class ContourRows:
         if self.aligned and self.baseline is None:
             self.baseline = [0] * len(self.rows)
 
-    @property
-    def m(self):
-        return len(self.rows) - 1
-
-    def counts(self):
-        return [r.shape[0] for r in self.rows]
-
 
 def as_contour_rows(rows):
     return rows if isinstance(rows, ContourRows) else ContourRows(list(rows))
@@ -149,15 +143,8 @@ def align_contours(rows):
     return ContourRows(out, aligned=True, baseline=baseline, reversed_flags=flipped)
 
 
-# The ``align`` a loft passes, with rows it has prepared already, to the
-# stages it hands them to, so that they do not validate the rows again.
-_PREPARED = object()
-
-
 def _prepare(rows, degree, align):
-    """Validated and, under ``align="auto"``, aligned rows."""
-    if align is _PREPARED:
-        return rows
+    """The rows, validated as supplied, then aligned under ``align="auto"``."""
     rows = as_contour_rows(rows)
     _validate_closed_rows(rows, degree)
     if align == "none" or rows.aligned or len(rows.rows) == 1:
@@ -167,11 +154,28 @@ def _prepare(rows, degree, align):
     return align_contours(rows)
 
 
-def _averaged_max_row_parameters(rows):
+@contextmanager
+def _row(i):
+    """Prefix a library error raised by row i's steps with ``row {i}: ``."""
+    try:
+        yield
+    except ClosedLoftError as exc:
+        raise type(exc)(f"row {i}: {exc}") from exc
+
+
+def _row_parameters(rows):
+    """Chord parameters of every row."""
+    params = []
+    for i, r in enumerate(rows):
+        with _row(i):
+            params.append(closed_parameters(r))
+    return params
+
+
+def _averaged_max_row_parameters(params):
     """Elementwise average of the chord parameters of the largest rows."""
-    n_max = max(r.shape[0] - 1 for r in rows.rows)
-    tvecs = [closed_parameters(r).values for r in rows.rows if r.shape[0] - 1 == n_max]
-    return ParameterValues(np.mean(tvecs, axis=0)), n_max
+    n_max = max(t.n for t in params)
+    return ParameterValues(np.mean([t.values for t in params if t.n == n_max], axis=0))
 
 
 @dataclass
@@ -194,57 +198,54 @@ def _make_compatible(curve, common):
     return BSplineCurve(common, refined.control_points)
 
 
-def interpolate_all_row_points(rows, degree, per, align="auto"):
+def interpolate_all_row_points(rows, degree, per):
     """Interpolate every row against a threaded knot vector and make the
     resulting clamped curves compatible.
 
     The seed vector comes from the averaged parameters of the largest rows
     (natural knots for odd degree, shifting knots for even); each row's
     selections are merged back so later rows reuse earlier knots.  The common
-    knot vector is the merge of the rows' clamped knot vectors.
+    knot vector is the merge of the rows' clamped knot vectors.  The rows are
+    taken as given: a loft validates and aligns them first.
     """
-    rows = _prepare(rows, degree, align)
+    rows = as_contour_rows(rows)
     if not 0.0 <= per <= 1.0:
         raise InvalidInputError("per must lie in [0, 1]")
-    t_avg, _ = _averaged_max_row_parameters(rows)
+    params = _row_parameters(rows.rows)
     method = NATURAL if degree % 2 == 1 else SHIFTING
-    seed_domain, _ = closed_knots(t_avg, method, degree)
+    seed_domain, _ = closed_knots(_averaged_max_row_parameters(params), method, degree)
     threaded = clamped_knot_vector(seed_domain, degree)
 
-    curves, params, residuals = [], [], []
-    for i, r in enumerate(rows.rows):
-        t_row = closed_parameters(r)
-        try:
+    curves, solve_params, residuals = [], [], []
+    for i, (r, t_row) in enumerate(zip(rows.rows, params)):
+        with _row(i):
             out = interpolate_points_by_input_knots(r, t_row, threaded, degree, per)
-        except ClosedLoftError as exc:
-            raise type(exc)(f"row {i}: {exc}") from exc
         threaded = out.updated_input
         curves.append(out.curve)
-        params.append(out.solve_params.values)
+        solve_params.append(out.solve_params.values)
         residuals.append(out.result.max_residual)
 
     common = reduce(merge_knot_vectors, (c.knots for c in curves))
     compatible = [_make_compatible(c, common) for c in curves]
-    return RowCurves(compatible, common, params, residuals)
+    return RowCurves(compatible, common, solve_params, residuals)
 
 
-def build_common_domain_knots(rows, degree, per, align="auto"):
-    """One set of domain knots feasible for every row.
+def build_common_domain_knots(params, degree, per):
+    """One set of domain knots feasible for every row, from the rows' chord
+    parameters.
 
     Seeded by the anchors of the averaged largest-row parameters; each row's
     span-scan selection is merged into the threaded seed (steering later
     rows toward shared knots) and the returned set is the merge of the
     per-row selections, so every row has a feasible subsequence in it.
     """
-    rows = _prepare(rows, degree, align)
     if not 0.0 <= per <= 1.0:
         raise InvalidInputError("per must lie in [0, 1]")
-    t_avg, _ = _averaged_max_row_parameters(rows)
-    threaded = anchor_vectors(t_avg, degree).anchors
+    threaded = anchor_vectors(_averaged_max_row_parameters(params), degree).anchors
     collected = None
-    for r in rows.rows:
-        t_row = closed_parameters(r)
-        selection = build_domain_knots_by_input_knots(t_row, threaded, degree, per)
+    for i, t_row in enumerate(params):
+        with _row(i):
+            selection = build_domain_knots_by_input_knots(t_row, threaded, degree, per)
         threaded = merge_domain_knots(threaded, selection)
         collected = selection if collected is None else merge_domain_knots(collected, selection)
     return collected
@@ -337,7 +338,7 @@ def _assemble_and_check(rows, row_curves, degree_u, method, per, closed):
 def loft_closed_piegl(rows, degree_u, degree_v, per, align="auto"):
     """Closed lofting via per-row knot reuse, clamping and refinement."""
     rows = _prepare(rows, degree_v, align)
-    row_curves = interpolate_all_row_points(rows, degree_v, per, align=_PREPARED)
+    row_curves = interpolate_all_row_points(rows, degree_v, per)
     return _assemble_and_check(rows, row_curves, degree_u, "piegl", per, closed=True)
 
 
@@ -357,34 +358,32 @@ def loft_closed_park(rows, degree_u, degree_v, per, alpha=1.0, beta=0.2, align="
     """
     beta = park_bend_weight(degree_v, beta)
     rows = _prepare(rows, degree_v, align)
-    common_domain = build_common_domain_knots(rows, degree_v, per, align=_PREPARED)
+    params = _row_parameters(rows.rows)
+    common_domain = build_common_domain_knots(params, degree_v, per)
     stiff = None
-    curves, params, residuals = [], [], []
+    curves, solve_params, residuals = [], [], []
     common = None
-    for i, r in enumerate(rows.rows):
-        t_row = closed_parameters(r)
-        solve_params = t_row if degree_v % 2 == 1 else shift_parameters(t_row)
-        problem = ClosedInterpolationProblem(r, solve_params, common_domain, degree_v)
-        try:
+    for i, (r, t_row) in enumerate(zip(rows.rows, params)):
+        with _row(i):
+            t_solve = t_row if degree_v % 2 == 1 else shift_parameters(t_row)
+            problem = ClosedInterpolationProblem(r, t_solve, common_domain, degree_v)
             if problem.nhat > problem.n:
                 if stiff is None:
                     kv = cyclic_knot_vector(common_domain, degree_v)
                     stiff = stiffness_matrix(kv, alpha, beta)
-                res = interpolate_closed_energy(problem, stiff=stiff)
+                res = interpolate_closed_energy(problem, stiff)
             else:
                 res = interpolate_closed_square(problem)
-        except ClosedLoftError as exc:
-            raise type(exc)(f"row {i}: {exc}") from exc
-        clamped = clamp_closed_curve(res.curve)
+            clamped = clamp_closed_curve(res.curve)
         if common is None:
             common = clamped.knots
         else:
             # all rows share the cyclic knot vector, so the clamped one too
             clamped = BSplineCurve(common, clamped.control_points)
         curves.append(clamped)
-        params.append(solve_params.values)
+        solve_params.append(t_solve.values)
         residuals.append(res.max_residual)
-    row_curves = RowCurves(curves, common, params, residuals)
+    row_curves = RowCurves(curves, common, solve_params, residuals)
     return _assemble_and_check(rows, row_curves, degree_u, "park", per, closed=True)
 
 
@@ -394,12 +393,10 @@ def loft_open(rows, degree_u, degree_v):
     rows = as_contour_rows(rows)
     curves, params, residuals = [], [], []
     for i, r in enumerate(rows.rows):
-        try:
+        with _row(i):
             t_row = open_parameters(r)
             kv = averaging_knots_open(t_row, degree_v)
             res = interpolate_open(r, t_row, kv)
-        except ClosedLoftError as exc:
-            raise type(exc)(f"row {i}: {exc}") from exc
         curves.append(res.curve)
         params.append(t_row.values)
         residuals.append(res.max_residual)

@@ -41,16 +41,13 @@ STRICT_TOL = KNOT_TOL
 class ParameterValues:
     """Assigned parameters t_0 .. t_n (or the shifted t̃_i for even degree).
 
-    ``exponent`` records the e of the general exponent form used to compute
-    them (1 = chord length, 0.5 = centripetal).  With ``lengths``,
-    ``values`` is a padded 2-D batch: row b holds lengths[b] parameters,
-    then padding that is not checked, and ``n`` is one value per row.  Every
-    row must pass the checks.
+    With ``lengths``, ``values`` is a padded 2-D batch: row b holds
+    lengths[b] parameters, then padding that is not checked, and ``n`` is one
+    value per row.  Every row must pass the checks.
     """
 
     values: np.ndarray
     shifted: bool = False
-    exponent: float = 1.0
     lengths: Optional[np.ndarray] = None
 
     def __post_init__(self):
@@ -70,8 +67,6 @@ class ParameterValues:
             raise InvalidInputError("parameter values must be finite")
         if falls.any():  # finite, so the same as diff <= 0
             raise InvalidInputError("parameter values must be strictly increasing")
-        if not 0.0 < self.exponent <= 1.0:
-            raise InvalidInputError("exponent must lie in (0, 1]")
         if self.shifted:
             if (v[..., 0] <= 0.0).any() or (last >= 1.0).any():
                 raise InvalidInputError("shifted parameters must lie strictly inside (0, 1)")
@@ -89,41 +84,42 @@ class ParameterValues:
         return self.values.shape[-1]
 
 
-def _wrap_chords(points):
-    pts = as_points(points, min_count=3)
-    diffs = np.roll(pts, -1, axis=0) - pts
-    return np.linalg.norm(diffs, axis=1)
-
-
-def closed_parameters(points, exponent=1.0):
-    """Cumulative exponent-form parameters for a closed contour.
-
-    t_0 = 0 and t_i is the cumulative ||ΔQ||^e over the total, with the wrap
-    chord from the last point back to the first included in the total, so
-    t_n < 1.
-    """
-    chords = _wrap_chords(points)
-    if np.any(chords == 0.0):
-        bad = int(np.argmin(chords))
+def _check_chords(chords, t, where=""):
+    """Reject a zero chord, or one too short to separate the parameters
+    ``t`` of its two points; the error names the chord's first point."""
+    if (chords == 0.0).any():
         raise InvalidInputError(
-            f"coincident consecutive points at index {bad} (wrap included)"
+            f"coincident consecutive points at index {np.argmax(chords == 0.0)}{where}"
         )
-    w = chords ** float(exponent)
-    t = np.concatenate([[0.0], np.cumsum(w[:-1])]) / w.sum()
-    return ParameterValues(t, shifted=False, exponent=float(exponent))
+    if (t[1:] <= t[:-1]).any():
+        raise InvalidInputError(
+            f"parameters coincide at index {np.argmax(t[1:] <= t[:-1])}{where}: "
+            "the chord to the next point is too short"
+        )
 
 
-def open_parameters(points, exponent=1.0):
-    """Cumulative exponent-form parameters for an open run of points (t_n = 1)."""
+def closed_parameters(points):
+    """Chord-length parameters for a closed contour.
+
+    t_0 = 0 and t_i is the cumulative chord length over the total, with the
+    wrap chord from the last point back to the first included in the total,
+    so t_n < 1.
+    """
+    pts = as_points(points, min_count=3)
+    chords = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
+    t = np.concatenate([[0.0], np.cumsum(chords[:-1])]) / chords.sum()
+    _check_chords(chords, np.append(t, 1.0), " (wrap included)")
+    return ParameterValues(t)
+
+
+def open_parameters(points):
+    """Chord-length parameters for an open run of points (t_n = 1)."""
     pts = as_points(points, min_count=2)
     chords = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-    if np.any(chords == 0.0):
-        bad = int(np.argmin(chords))
-        raise InvalidInputError(f"coincident consecutive points at index {bad}")
-    w = chords ** float(exponent)
-    t = np.concatenate([[0.0], np.cumsum(w)]) / w.sum()
+    t = np.concatenate([[0.0], np.cumsum(chords)]) / chords.sum()
     t[-1] = 1.0
-    return ParameterValues(t, shifted=False, exponent=float(exponent))
+    _check_chords(chords, t)
+    return ParameterValues(t)
 
 
 def shift_parameters(params):
@@ -133,7 +129,7 @@ def shift_parameters(params):
     t = params.values
     if t[-1] >= 1.0:
         raise InvalidInputError("closed parameters require t_n < 1")
-    return ParameterValues(t + (1.0 - t[-1]) / 2.0, shifted=True, exponent=params.exponent)
+    return ParameterValues(t + (1.0 - t[-1]) / 2.0, shifted=True)
 
 
 def averaging_knots_open(params, degree):
@@ -178,7 +174,7 @@ def closed_knots(params, method, degree):
         # closed form of the half-gap running sum, extended through i = n so
         # every interior knot is defined: u_i = (t̃_{i-1} + t̃_i)/2
         interior = (t[:-1] + t[1:]) / 2.0 + dn / 2.0
-        shifted = ParameterValues(t + dn / 2.0, shifted=True, exponent=params.exponent)
+        shifted = ParameterValues(t + dn / 2.0, shifted=True)
         domain = np.concatenate([[0.0], interior, [1.0]])
         return validate_domain_knots(domain), shifted
     else:

@@ -132,12 +132,15 @@ class KnotVector:
         if kv.shape[-1] < 2 * p + 2:
             raise InvalidInputError("knot array too short for degree")
         if self.lengths is None:
-            size, falls = kv.shape[-1], kv[1:] < kv[:-1]
+            size, live, falls = kv.shape[-1], kv, kv[1:] < kv[:-1]
         else:
             size = check_lengths(self.lengths, kv.shape[0], kv.shape[1], 2 * p + 2)
             object.__setattr__(self, "lengths", size)
-            falls = (kv[:, 1:] < kv[:, :-1]) & row_prefix(size, kv.shape[1])[:, 1:]
-        if falls.any():
+            valid = row_prefix(size, kv.shape[1])
+            live, falls = kv[valid], (kv[:, 1:] < kv[:, :-1]) & valid[:, 1:]
+        if not np.isfinite(live).all():
+            raise InvalidInputError("knots must be finite")
+        if falls.any():  # finite, so the same as a decrease
             raise InvalidInputError("knots must be non-decreasing")
         lo, hi = kv[..., p], row_window(kv, size - p - 1, 1)
         if (np.abs(lo) > 1e-12).any() or (np.abs(hi - 1.0) > 1e-12).any():
@@ -180,9 +183,6 @@ class KnotVector:
         """Number of domain knots strictly inside (0, 1), with multiplicity."""
         d = self.domain_knots
         return int(np.sum((d > KNOT_TOL) & (d < 1.0 - KNOT_TOL)))
-
-    def multiplicities(self):
-        return knot_multiplicities(self.knots)
 
     def __eq__(self, other):
         if not isinstance(other, KnotVector):
@@ -264,24 +264,19 @@ def basis_functions(kv, u):
     return row[0]
 
 
-def basis_derivatives(kv, u, order, full=False):
+def basis_derivatives(kv, u, order):
     """Derivatives of the nonzero basis functions at u, orders 0 .. order.
 
-    Returns ``(span, ders)`` with ders of shape (order+1, p+1), or the full
-    (order+1, n_basis) array when ``full`` is set.  order = 0 reproduces
-    :func:`nonzero_basis`.
+    Returns ``(span, ders)`` with ders of shape (order+1, p+1): row k holds
+    the k-th derivatives of basis functions span-p .. span.  order = 0
+    reproduces :func:`nonzero_basis`.
     """
     _check_in_domain(u)
     k = int(order)
     if k < 0 or k > kv.degree:
         raise InvalidInputError(f"derivative order {k} outside 0..{kv.degree}")
     span = int(_kernels.find_span(kv.knots, kv.degree, float(u)))
-    ders = _kernels.ders_basis_funs(kv.knots, kv.degree, span, float(u), k)
-    if not full:
-        return span, ders
-    out = np.zeros((k + 1, kv.n_basis))
-    out[:, span - kv.degree: span + 1] = ders
-    return out
+    return span, _kernels.ders_basis_funs(kv.knots, kv.degree, span, float(u), k)
 
 
 def _distinct_count(kv):
@@ -521,54 +516,56 @@ def refine_knots(curve, new_knots):
     return BSplineCurve(KnotVector(tau, p, CLAMPED), ctrl)
 
 
-def _knot_groups(arr, tol):
+def _knot_groups(arr):
     """Start indices of the knot groups of a sorted array.
 
-    A knot opens a new group when it lies more than tol above the group's
-    first knot.  A gap above tol between neighbours always opens one; only
-    a run of close neighbours spanning more than tol is walked knot by knot.
+    A knot opens a new group when it lies more than ``KNOT_TOL`` above the
+    group's first knot.  A gap above ``KNOT_TOL`` between neighbours always
+    opens one; only a run of close neighbours spanning more than
+    ``KNOT_TOL`` is walked knot by knot.
     """
     if arr.size == 0:
         return np.zeros(0, dtype=np.intp)
-    starts = np.flatnonzero(np.concatenate(([True], np.diff(arr) > tol)))
+    starts = np.flatnonzero(np.concatenate(([True], np.diff(arr) > KNOT_TOL)))
     ends = np.append(starts[1:], arr.size)
-    wide = np.flatnonzero(arr[ends - 1] - arr[starts] > tol)
+    wide = np.flatnonzero(arr[ends - 1] - arr[starts] > KNOT_TOL)
     if wide.size == 0:
         return starts
     extra = []
     for c in wide:
         first = arr[starts[c]]
         for k in range(starts[c] + 1, ends[c]):
-            if arr[k] - first > tol:
+            if arr[k] - first > KNOT_TOL:
                 extra.append(k)
                 first = arr[k]
     return np.sort(np.concatenate([starts, extra]).astype(np.intp))
 
 
-def _multiset(knots, tol):
+def _multiset(knots):
     """(values, counts) arrays of the knot groups of a sorted knot array."""
     arr = np.asarray(knots, dtype=float)
-    starts = _knot_groups(arr, tol)
+    starts = _knot_groups(arr)
     return arr[starts], np.diff(np.append(starts, arr.size))
 
 
-def knot_multiplicities(knots, tol=KNOT_TOL):
-    """Group a sorted knot array into (values, counts); values within tol of
-    the group representative (its first knot) collapse together."""
-    values, counts = _multiset(knots, tol)
+def knot_multiplicities(knots):
+    """Group a sorted knot array into (values, counts); values within
+    ``KNOT_TOL`` of the group representative (its first knot) collapse
+    together."""
+    values, counts = _multiset(knots)
     return values.tolist(), counts.tolist()
 
 
-def _merge_walk(va, ca, vb, cb, tol):
+def _merge_walk(va, ca, vb, cb):
     """Two-pointer merge of sorted (values, counts) lists: a knot of one list
-    more than tol below the other's current knot is taken alone, otherwise
-    the two pair up as the smaller value with the larger count."""
+    more than ``KNOT_TOL`` below the other's current knot is taken alone,
+    otherwise the two pair up as the smaller value with the larger count."""
     out_v, out_c = [], []
     i = j = 0
     while i < len(va) or j < len(vb):
-        if j >= len(vb) or (i < len(va) and va[i] < vb[j] - tol):
+        if j >= len(vb) or (i < len(va) and va[i] < vb[j] - KNOT_TOL):
             out_v.append(va[i]); out_c.append(ca[i]); i += 1
-        elif i >= len(va) or vb[j] < va[i] - tol:
+        elif i >= len(va) or vb[j] < va[i] - KNOT_TOL:
             out_v.append(vb[j]); out_c.append(cb[j]); j += 1
         else:
             out_v.append(min(va[i], vb[j])); out_c.append(max(ca[i], cb[j]))
@@ -576,11 +573,11 @@ def _merge_walk(va, ca, vb, cb, tol):
     return out_v, out_c
 
 
-def _merge_multisets(va, ca, vb, cb, tol=KNOT_TOL):
+def _merge_multisets(va, ca, vb, cb):
     """The result of :func:`_merge_walk`, as (values, counts) arrays.
 
     Sorted together, the knots of both lists fall into clusters where a knot
-    x and the next y satisfy x < y - tol; the walk never pairs knots across
+    x and the next y satisfy x < y - ``KNOT_TOL``; the walk never pairs knots across
     that gap and finishes one cluster before the next.  A cluster holding at
     most one knot of each list is a pair or a single knot; only clusters
     with more are walked.
@@ -593,7 +590,7 @@ def _merge_multisets(va, ca, vb, cb, tol=KNOT_TOL):
     # stable: a tie lists the knot of va first, as min(va[i], vb[j]) returns it
     order = np.argsort(both, kind="stable")
     x = both[order]
-    starts = np.flatnonzero(np.concatenate(([True], x[:-1] < x[1:] - tol)))
+    starts = np.flatnonzero(np.concatenate(([True], x[:-1] < x[1:] - KNOT_TOL)))
     values = x[starts]
     counts = np.maximum.reduceat(np.concatenate([ca, cb])[order], starts)
     na = np.add.reduceat((order < va.size).astype(np.int64), starts)
@@ -606,7 +603,7 @@ def _merge_multisets(va, ca, vb, cb, tol=KNOT_TOL):
     out_v, out_c, done = [], [], 0
     for k in busy:
         sa, sb = slice(a0[k], a0[k] + na[k]), slice(b0[k], b0[k] + nb[k])
-        v, c = _merge_walk(va[sa].tolist(), ca[sa].tolist(), vb[sb].tolist(), cb[sb].tolist(), tol)
+        v, c = _merge_walk(va[sa].tolist(), ca[sa].tolist(), vb[sb].tolist(), cb[sb].tolist())
         out_v += [values[done:k], np.asarray(v, dtype=float)]
         out_c += [counts[done:k], np.asarray(c, dtype=np.int64)]
         done = k + 1
@@ -620,27 +617,27 @@ def merge_knot_vectors(a, b):
         raise InvalidInputError("cannot merge knot vectors of different degree")
     if a.style != CLAMPED or b.style != CLAMPED:
         raise InvalidInputError("merge_knot_vectors expects clamped knot vectors")
-    out_v, out_c = _merge_multisets(*_multiset(a.knots, KNOT_TOL), *_multiset(b.knots, KNOT_TOL))
+    out_v, out_c = _merge_multisets(*_multiset(a.knots), *_multiset(b.knots))
     return KnotVector(np.repeat(out_v, out_c), a.degree, CLAMPED)
 
 
-def merge_domain_knots(a, b, tol=KNOT_TOL):
+def merge_domain_knots(a, b):
     """Sorted union of two strictly-increasing domain-knot sequences."""
     va, vb = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    out_v, _ = _merge_multisets(va, np.ones(va.size), vb, np.ones(vb.size), tol)
+    out_v, _ = _merge_multisets(va, np.ones(va.size), vb, np.ones(vb.size))
     return out_v
 
 
-def missing_knots(target, base, tol=KNOT_TOL):
+def missing_knots(target, base):
     """Knots (with multiplicity) present in target but not in base.
 
     Each knot group of target is matched with the first group of base not
-    more than tol below it, when that group lies within tol.
+    more than ``KNOT_TOL`` below it, when that group lies within it.
     """
-    vt, ct = _multiset(target.knots, tol)
-    vb, cb = _multiset(base.knots, tol)
-    j = np.searchsorted(vb, vt - tol, side="left")
+    vt, ct = _multiset(target.knots)
+    vb, cb = _multiset(base.knots)
+    j = np.searchsorted(vb, vt - KNOT_TOL, side="left")
     jc = np.minimum(j, vb.size - 1)
-    near = (j < vb.size) & (np.abs(vb[jc] - vt) <= tol)
+    near = (j < vb.size) & (np.abs(vb[jc] - vt) <= KNOT_TOL)
     have = np.where(near, cb[jc], 0)
     return np.repeat(vt, np.maximum(0, ct - have))

@@ -52,6 +52,15 @@ def random_closed_curve(rng, degree, nhat=None):
     return BSplineCurve(kv, ctrl)
 
 
+def energy_stiffness(problem, alpha=1.0, beta=0.2):
+    """The stiffness matrix an energy solve of ``problem`` takes: the
+    stretch and bend weights on the cyclic knot vector of its domain knots."""
+    from closedloft.linalg_solve import stiffness_matrix
+    from closedloft.spline_core import cyclic_knot_vector
+
+    return stiffness_matrix(cyclic_knot_vector(problem.domain_knots, problem.degree), alpha, beta)
+
+
 def expanded(curve):
     """A curve's controls in expanded storage: one per basis function, so a
     closed curve's distinct controls followed by p more, taken cyclically

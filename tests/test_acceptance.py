@@ -21,7 +21,7 @@ from closedloft import loft as lf
 from closedloft import param_knots as pk
 from closedloft import spline_core as sc
 
-from conftest import circle_points, ellipse_points, expanded, square_points, star_points, tube_rows
+from conftest import circle_points, ellipse_points, energy_stiffness, expanded, square_points, star_points, tube_rows
 from test_linalg_solve import _oracle_stiffness
 
 
@@ -226,7 +226,7 @@ def test_criterion_8_energy_optimality():
         problem = ci.ClosedInterpolationProblem(pts, solve_params, domain, degree)
         if problem.nhat == problem.n:
             continue
-        res = ci.interpolate_closed_energy(problem, 1.0, 0.2)
+        res = ci.interpolate_closed_energy(problem, energy_stiffness(problem))
         scale = sc.bbox_diagonal(pts)
         worst_resid = max(worst_resid, res.max_residual / scale)
         kv = res.curve.knots

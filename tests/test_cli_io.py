@@ -49,8 +49,9 @@ def test_parse_minimal_triangle():
 def test_parse_rejects_duplicate_point_with_location():
     rows = [circle_points(8).tolist() for _ in range(3)]
     rows[2][5] = rows[2][4]
+    rows[2][7] = rows[2][6]  # the first repeat is the one named
     text = json.dumps({"version": 1, "rows": rows})
-    with pytest.raises(cli_io.ContourParseError, match="row 2.*index 5"):
+    with pytest.raises(cli_io.ContourParseError, match="^row 2: repeated consecutive point at index 5$"):
         cli_io.parse_contours(text)
 
 
@@ -336,15 +337,11 @@ def test_surface_roundtrip_bit_exact_property(sf):
         assert a.tobytes() == b.tobytes()  # keeps the sign of -0.0
 
 
-def test_serialize_surface_non_finite_knots_as_json():
-    # cyclic extension knots are not checked for finiteness; json writes NaN
-    kv = sc.cyclic_knot_vector([0, 0.5, 1], 2)
-    knots = kv.knots.copy()
-    knots[0] = np.nan
-    odd = sc.KnotVector(knots, 2, "cyclic")
-    ku = sc.clamped_knot_vector([0, 1], 1)
-    sf = cli_io.SurfaceFile(sc.BSplineSurface(ku, odd, np.zeros((2, 2, 3))), {})
-    assert cli_io.serialize_surface(sf) == _json_oracle(sf)
+def test_parse_surface_rejects_a_non_finite_knot(rng):
+    doc = json.loads(cli_io.serialize_surface(cli_io.SurfaceFile(_small_surface(rng))))
+    doc["knots_v"]["values"][5] = float("nan")  # an interior knot; json writes NaN
+    with pytest.raises(InvalidInputError, match="knots must be finite"):
+        cli_io.parse_surface(json.dumps(doc))
 
 
 def _obj_oracle(surface, samples_u, samples_v):
@@ -515,6 +512,17 @@ def test_cmd_loft_determinism(tmp_path):
     assert open(out1, "rb").read() == open(out2, "rb").read()
 
 
+@pytest.mark.parametrize("method", ["piegl", "park", "open"])
+def test_cmd_loft_collapsed_chord_exit_1(tmp_path, method):
+    rows = [circle_points(16, z=0.5 * (i - 2)) for i in range(5)]
+    rows[2][5] = rows[2][4] + [0.0, 0.0, 1e-20]  # distinct points, one parameter
+    inp = _write(tmp_path, "rows.json", json.dumps({"version": 1, "rows": [r.tolist() for r in rows]}))
+    out = tmp_path / "surface.json"
+    code, _, err = _run(["loft", "--input", inp, "--method", method, "--output", str(out)])
+    assert code == 1 and not out.exists()
+    assert err.startswith("closedloft: invalid input: row 2: parameters coincide at index 4")
+
+
 def test_cmd_loft_missing_file(tmp_path):
     code, _, err = _run(["loft", "--input", str(tmp_path / "nope.json"), "--output", "o.json"])
     assert code == 1
@@ -611,6 +619,18 @@ def test_cmd_interp_curve_nested_input_knots_exit_1(tmp_path):
     )
     assert code == 1
     assert "closedloft: invalid input: knot values must be a flat list of numbers" in err
+
+
+def test_cmd_interp_curve_non_finite_input_knot_exit_1(tmp_path):
+    inp = _write(tmp_path, "c12.json", json.dumps({"version": 1, "rows": [circle_points(12).tolist()]}))
+    knots = sc.clamped_knot_vector(np.linspace(0, 1, 14), 3).knots.tolist()
+    knots[6] = float("nan")
+    kpath = _write(tmp_path, "knots.json", json.dumps({"style": "clamped", "degree": 3, "values": knots}))
+    code, _, err = _run(
+        ["interp-curve", "--input", inp, "--closed", "--degree", "3",
+         "--knot-method", "input", "--input-knots", kpath]
+    )
+    assert (code, err) == (1, "closedloft: invalid input: knots must be finite\n")
 
 
 @pytest.mark.parametrize("text, message", [

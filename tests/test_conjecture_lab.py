@@ -137,9 +137,9 @@ def test_procedure5_domains_always_condition_true(rng):
     for seed in (0, 1):
         rows = lf.ContourRows(tube_rows(5, seed=seed), aligned=True)
         for degree in (3, 4):
-            domain = lf.build_common_domain_knots(rows, degree, 1.0, align="none")
-            for r in rows.rows:
-                t = pk.closed_parameters(r)
+            params = [pk.closed_parameters(r) for r in rows.rows]
+            domain = lf.build_common_domain_knots(params, degree, 1.0)
+            for t in params:
                 parity = pk.shift_parameters(t) if degree % 2 == 0 else t
                 ok, witness = pk.check_conjecture2(parity, domain, degree)
                 assert ok and witness is not None

@@ -12,7 +12,7 @@ from closedloft.errors import (
     SingularSystemError,
 )
 
-from conftest import circle_points, ellipse_points, expanded, square_points
+from conftest import circle_points, ellipse_points, energy_stiffness, expanded, square_points
 
 
 def _closed_problem(points, degree, method=None):
@@ -166,7 +166,7 @@ def test_folded_energy_solve_matches_stacked_solve(rng, degree):
         problem = _noisy_problem(rng, degree, int(rng.integers(1, 8)))
         kv = sc.cyclic_knot_vector(problem.domain_knots, degree)
         stiff = la.stiffness_matrix(kv, 1.0, 0.2)
-        res = ci.interpolate_closed_energy(problem, stiff=stiff)
+        res = ci.interpolate_closed_energy(problem, stiff)
         assert res.system.shape == (problem.n + 1, problem.nhat + 1)
         ref = _stacked_solve(problem, stiff)
         np.testing.assert_allclose(expanded(res.curve), ref, rtol=0,
@@ -185,8 +185,9 @@ def _energy_problem(points, degree, extra_knots):
 
 def test_energy_reduces_to_square_when_fully_constrained():
     pts = circle_points(10)
-    square = ci.interpolate_closed_square(_closed_problem(pts, 3))
-    energy = ci.interpolate_closed_energy(_closed_problem(pts, 3), 1.0, 0.2)
+    problem = _closed_problem(pts, 3)
+    square = ci.interpolate_closed_square(problem)
+    energy = ci.interpolate_closed_energy(problem, energy_stiffness(problem))
     np.testing.assert_allclose(
         energy.curve.control_points, square.curve.control_points, atol=1e-8
     )
@@ -197,7 +198,7 @@ def test_energy_circle8_optimality(rng):
     extra = np.sort(rng.uniform(0.05, 0.95, 5))
     problem = _energy_problem(pts, 3, extra)
     assert problem.nhat == 12
-    res = ci.interpolate_closed_energy(problem)
+    res = ci.interpolate_closed_energy(problem, energy_stiffness(problem))
     assert res.max_residual < 1e-8 * _scale(pts)
     kv = res.curve.knots
     stiff = la.stiffness_matrix(kv, 1.0, 0.2)
@@ -217,8 +218,8 @@ def test_energy_linearity_under_scaling(rng):
     extra = np.sort(rng.uniform(0.1, 0.9, 3))
     p1 = _energy_problem(pts, 3, extra)
     p2 = _energy_problem(2.0 * pts, 3, extra)
-    r1 = ci.interpolate_closed_energy(p1)
-    r2 = ci.interpolate_closed_energy(p2)
+    r1 = ci.interpolate_closed_energy(p1, energy_stiffness(p1))
+    r2 = ci.interpolate_closed_energy(p2, energy_stiffness(p2))
     np.testing.assert_allclose(
         r2.curve.control_points, 2.0 * r1.curve.control_points, rtol=0, atol=1e-9
     )
@@ -230,7 +231,7 @@ def test_energy_refuses_without_witness():
     clustered = np.concatenate([[0.0], np.linspace(0.005, 0.02, 8), [1.0]])
     problem = ci.ClosedInterpolationProblem(pts, t, clustered, 3)
     with pytest.raises(PreconditionError):
-        ci.interpolate_closed_energy(problem)
+        ci.interpolate_closed_energy(problem, energy_stiffness(problem))
 
 
 def test_energy_parity_contract():
@@ -239,7 +240,7 @@ def test_energy_parity_contract():
     domain, _ = pk.closed_knots(t, "natural", 4)
     problem = ci.ClosedInterpolationProblem(pts, t, domain, 4)
     with pytest.raises(ContractError):
-        ci.interpolate_closed_energy(problem)
+        ci.interpolate_closed_energy(problem, energy_stiffness(problem))
 
 
 def test_energy_below_square_on_witness_subset(rng):
@@ -248,7 +249,7 @@ def test_energy_below_square_on_witness_subset(rng):
     pts = circle_points(9) + rng.normal(scale=0.02, size=(9, 3))
     extra = np.sort(rng.uniform(0.08, 0.92, 5))
     problem = _energy_problem(pts, 3, extra)
-    res = ci.interpolate_closed_energy(problem)
+    res = ci.interpolate_closed_energy(problem, energy_stiffness(problem))
     ok, witness = pk.check_conjecture2(problem.params, problem.domain_knots, 3)
     assert ok
     square = ci.interpolate_closed_square(
@@ -294,7 +295,7 @@ def test_procedure2_pipeline_and_merge_grows(rng):
     # updated input contains the original as a sub-multiset
     assert sc.missing_knots(input_kv, out.updated_input).size == 0
     # and equals original merged with the clamped vector
-    assert out.updated_input == sc.merge_knot_vectors(input_kv, out.clamped_knots)
+    assert out.updated_input == sc.merge_knot_vectors(input_kv, out.curve.knots)
 
 
 def test_procedure2_even_degree_shifts_internally():

@@ -8,7 +8,7 @@ from closedloft import param_knots as pk
 from closedloft import spline_core as sc
 from closedloft.errors import InvalidInputError
 
-from conftest import circle_points, expanded, tube_rows
+from conftest import circle_points, energy_stiffness, expanded, tube_rows
 
 
 def _seam_error(surface, max_order):
@@ -82,16 +82,16 @@ def test_align_rejects_degenerate_row():
 
 def test_single_row_common_vector_is_its_own():
     rows = lf.ContourRows([circle_points(12)], aligned=True)
-    rc = lf.interpolate_all_row_points(rows, 3, 1.0, align="none")
+    rc = lf.interpolate_all_row_points(rows, 3, 1.0)
     assert len(rc.curves) == 1
     assert rc.curves[0].knots == rc.common
 
 
 def test_identical_rows_do_not_grow_common_vector():
     rows = lf.ContourRows([circle_points(16, z=float(i)) for i in range(4)], aligned=True)
-    rc = lf.interpolate_all_row_points(rows, 3, 1.0, align="none")
+    rc = lf.interpolate_all_row_points(rows, 3, 1.0)
     single = lf.interpolate_all_row_points(
-        lf.ContourRows([circle_points(16)], aligned=True), 3, 1.0, align="none"
+        lf.ContourRows([circle_points(16)], aligned=True), 3, 1.0
     )
     assert rc.common.interior_count() == single.common.interior_count()
     for c in rc.curves:
@@ -101,47 +101,41 @@ def test_identical_rows_do_not_grow_common_vector():
 def test_per_one_beats_traditional_on_mixed_rows():
     rows = [circle_points(n, z=0.1 * i) for i, n in enumerate([16, 20, 24])]
     crows = lf.ContourRows(rows, aligned=True)
-    flexible = lf.interpolate_all_row_points(crows, 3, 1.0, align="none")
-    traditional = lf.interpolate_all_row_points(crows, 3, 0.0, align="none")
+    flexible = lf.interpolate_all_row_points(crows, 3, 1.0)
+    traditional = lf.interpolate_all_row_points(crows, 3, 0.0)
     assert flexible.common.interior_count() < traditional.common.interior_count()
 
 
 # --- Procedure 5 ---
 
+def _chord_params(rows):
+    return [pk.closed_parameters(r) for r in rows]
+
+
 def test_common_domain_single_row_per_zero_is_anchors():
-    row = circle_points(12)
-    rows = lf.ContourRows([row], aligned=True)
-    domain = lf.build_common_domain_knots(rows, 3, 0.0, align="none")
-    t = pk.closed_parameters(row)
+    t = pk.closed_parameters(circle_points(12))
+    domain = lf.build_common_domain_knots([t], 3, 0.0)
     np.testing.assert_allclose(domain, pk.anchor_vectors(t, 3).anchors)
 
 
 def test_common_domain_duplicate_row_unchanged():
-    base = [circle_points(14, z=0.0), circle_points(18, z=1.0)]
-    d1 = lf.build_common_domain_knots(lf.ContourRows(base, aligned=True), 3, 1.0, align="none")
-    d2 = lf.build_common_domain_knots(
-        lf.ContourRows(base + [base[-1]], aligned=True), 3, 1.0, align="none"
-    )
+    base = _chord_params([circle_points(14, z=0.0), circle_points(18, z=1.0)])
+    d1 = lf.build_common_domain_knots(base, 3, 1.0)
+    d2 = lf.build_common_domain_knots(base + [base[-1]], 3, 1.0)
     np.testing.assert_allclose(d1, d2)
 
 
 def test_common_domain_per_monotone_counts():
-    rows = lf.ContourRows(
-        [circle_points(n, z=0.2 * i) for i, n in enumerate([16, 20, 24])], aligned=True
-    )
-    counts = [
-        lf.build_common_domain_knots(rows, 3, per, align="none").size
-        for per in (1.0, 0.5, 0.25)
-    ]
+    params = _chord_params([circle_points(n, z=0.2 * i) for i, n in enumerate([16, 20, 24])])
+    counts = [lf.build_common_domain_knots(params, 3, per).size for per in (1.0, 0.5, 0.25)]
     assert counts[0] <= counts[1] <= counts[2]
 
 
 def test_common_domain_feasible_for_every_row(rng):
-    rows = lf.ContourRows(tube_rows(6, seed=5), aligned=True)
+    params = _chord_params(tube_rows(6, seed=5))
     for per in (0.0, 0.5, 1.0):
-        domain = lf.build_common_domain_knots(rows, 4, per, align="none")
-        for r in rows.rows:
-            t = pk.closed_parameters(r)
+        domain = lf.build_common_domain_knots(params, 4, per)
+        for t in params:
             ok, _ = pk.check_conjecture2(pk.shift_parameters(t), domain, 4)
             assert ok
 
@@ -222,7 +216,7 @@ def test_method_column_counts_close_on_mixed_rows():
 def test_park_row_energy_not_above_witness_square(rng):
     rows = tube_rows(6, seed=7)
     aligned = lf.align_contours(lf.as_contour_rows(rows))
-    domain = lf.build_common_domain_knots(aligned, 3, 1.0, align="none")
+    domain = lf.build_common_domain_knots(_chord_params(aligned.rows), 3, 1.0)
     kv = sc.cyclic_knot_vector(domain, 3)
     stiff = la.stiffness_matrix(kv, 1.0, 0.2)
     from closedloft.curve_interp import ClosedInterpolationProblem, interpolate_closed_energy, interpolate_closed_square
@@ -230,7 +224,7 @@ def test_park_row_energy_not_above_witness_square(rng):
     for r in aligned.rows:
         t = pk.closed_parameters(r)
         problem = ClosedInterpolationProblem(r, t, domain, 3)
-        res = interpolate_closed_energy(problem)
+        res = interpolate_closed_energy(problem, stiff)
         e_energy = la.curve_energy(stiff, expanded(res.curve))
         ok, witness = pk.check_conjecture2(t, domain, 3)
         assert ok
@@ -265,7 +259,6 @@ def test_park_builds_stiffness_once_per_loft(monkeypatch):
     calls = []
     build = lf.stiffness_matrix
     monkeypatch.setattr(lf, "stiffness_matrix", lambda *args: calls.append(args) or build(*args))
-    monkeypatch.setattr(ci, "stiffness_matrix", None)  # a row must not build its own
     result = lf.loft_closed_park(tube_rows(8, seed=3), 3, 3, 0.0, alpha=1.5, beta=0.3)
     assert result.control_dims[0] == 8
     assert len(calls) == 1 and calls[0][1:] == (1.5, 0.3)
@@ -273,8 +266,9 @@ def test_park_builds_stiffness_once_per_loft(monkeypatch):
 
 def _energy_problems(count):
     rows = lf.align_contours(lf.as_contour_rows(tube_rows(count, seed=4)))
-    domain = lf.build_common_domain_knots(rows, 3, 0.0, align="none")
-    problems = [ci.ClosedInterpolationProblem(r, pk.closed_parameters(r), domain, 3) for r in rows.rows]
+    params = _chord_params(rows.rows)
+    domain = lf.build_common_domain_knots(params, 3, 0.0)
+    problems = [ci.ClosedInterpolationProblem(r, t, domain, 3) for r, t in zip(rows.rows, params)]
     return problems, sc.cyclic_knot_vector(domain, 3)
 
 
@@ -282,24 +276,15 @@ def test_energy_solve_with_shared_stiffness_is_unchanged():
     problems, kv = _energy_problems(5)
     stiff = la.stiffness_matrix(kv, 1.5, 0.3)
     for problem in problems:
-        alone = ci.interpolate_closed_energy(problem, 1.5, 0.3)
-        shared = ci.interpolate_closed_energy(problem, stiff=stiff)
+        alone = ci.interpolate_closed_energy(problem, energy_stiffness(problem, 1.5, 0.3))
+        shared = ci.interpolate_closed_energy(problem, stiff)
         np.testing.assert_array_equal(shared.curve.control_points, alone.curve.control_points)
 
 
-def test_energy_solve_takes_the_stiffness_or_its_weights():
-    problems, kv = _energy_problems(4)
-    stiff = la.stiffness_matrix(kv, 1.0, 0.2)
-    for weights in ({"alpha": 2.0}, {"beta": 0.5}, {"alpha": 1.0, "beta": 0.2}):
-        with pytest.raises(InvalidInputError, match="not both"):
-            ci.interpolate_closed_energy(problems[0], stiff=stiff, **weights)
+def test_energy_solve_rejects_a_mismatched_stiffness():
+    problems, _ = _energy_problems(4)
     with pytest.raises(InvalidInputError, match="does not match the knot vector"):
-        ci.interpolate_closed_energy(problems[0], stiff=np.eye(3))
-    # the defaults are the weights 1.0 and 0.2
-    np.testing.assert_array_equal(
-        ci.interpolate_closed_energy(problems[0]).curve.control_points,
-        ci.interpolate_closed_energy(problems[0], stiff=stiff).curve.control_points,
-    )
+        ci.interpolate_closed_energy(problems[0], np.eye(3))
 
 
 def test_lofts_validate_rows_once(monkeypatch):
@@ -313,14 +298,53 @@ def test_lofts_validate_rows_once(monkeypatch):
     assert seen == [3, 3]
 
 
-@pytest.mark.parametrize("stage", [lf.interpolate_all_row_points, lf.build_common_domain_knots])
+@pytest.mark.parametrize("stage", [lf.interpolate_all_row_points])
 def test_row_stages_called_directly_still_validate(stage):
     rows = [circle_points(16), circle_points(4), circle_points(16, z=1.0)]
     with pytest.raises(InvalidInputError, match="row 1: closed degree-3 interpolation needs at least 5"):
-        stage(rows, 3, 1.0, align="none")
+        stage(rows, 3, 1.0)
     prepared = lf._prepare([circle_points(6, z=float(z)) for z in range(3)], 3, "auto")
     with pytest.raises(InvalidInputError, match="row 0: closed degree-5 interpolation needs at least 7"):
-        stage(prepared, 5, 1.0, align="none")  # checked for degree 3 only
+        stage(prepared, 5, 1.0)  # checked for degree 3 only
+
+
+def _rows_failing_at_row_2(failure):
+    """Five stacked 16-point circles, row 2 at z = 0, broken by ``failure``."""
+    rows = [circle_points(16, z=0.5 * (i - 2)) for i in range(5)]
+    if failure == "too few points":
+        rows[2] = rows[2][:3]
+    elif failure == "collapsed chord":
+        rows[2][5] = rows[2][4] + [0.0, 0.0, 1e-20]
+    else:  # the last point repeats the first
+        rows[2][15] = rows[2][0]
+    return rows
+
+
+_PIPELINES = {
+    "piegl": lambda rows: lf.loft_closed_piegl(rows, 3, 3, 1.0),
+    "park": lambda rows: lf.loft_closed_park(rows, 3, 3, 1.0),
+    "open": lambda rows: lf.loft_open(rows, 3, 3),
+}
+
+
+# the start of each failure's message; an open row may end where it starts,
+# so a coincident wrap point fails the closed pipelines only
+_ROW_2_FAILURES = {
+    "too few points": "^row 2: ",
+    "collapsed chord": "^row 2: parameters coincide at index 4",
+    "coincident wrap point": "^row 2: coincident consecutive points at index 15",
+}
+
+
+@pytest.mark.parametrize("method, failure", [
+    (method, failure)
+    for method in _PIPELINES
+    for failure in _ROW_2_FAILURES
+    if (method, failure) != ("open", "coincident wrap point")
+])
+def test_per_row_failure_names_the_row(method, failure):
+    with pytest.raises(InvalidInputError, match=_ROW_2_FAILURES[failure]):
+        _PIPELINES[method](_rows_failing_at_row_2(failure))
 
 
 def test_loft_rejects_undersized_rows():

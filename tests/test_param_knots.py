@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from closedloft import param_knots as pk
 from closedloft.errors import ContractError, InvalidInputError
 
-from conftest import square_points
+from conftest import circle_points, square_points
 
 
 # --- parameter assignment ---
@@ -54,9 +54,13 @@ def test_closed_parameters_triangle_with_wrap():
     np.testing.assert_allclose(t.values, [0, 3 / 12, 7 / 12])
 
 
-def test_centripetal_exponent_cancels_on_square():
-    t = pk.closed_parameters(square_points(), exponent=0.5)
-    np.testing.assert_allclose(t.values, [0, 0.25, 0.5, 0.75])
+def test_chord_parameters_name_the_index_where_they_coincide():
+    pts = circle_points(16)
+    pts[5] = pts[4] + [0.0, 0.0, 1e-20]  # a chord too short to separate t_4 and t_5
+    with pytest.raises(InvalidInputError, match=r"^parameters coincide at index 4 \(wrap included\): "):
+        pk.closed_parameters(pts)
+    with pytest.raises(InvalidInputError, match=r"^parameters coincide at index 4: "):
+        pk.open_parameters(pts)
 
 
 def test_closed_parameters_reject_wrap_duplicate():

@@ -192,6 +192,28 @@ def test_zeroth_derivative_matches_basis(rng):
         np.testing.assert_allclose(ders[0], vals, atol=1e-15)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_knot_vector_rejects_non_finite_knots(bad):
+    clamped = sc.clamped_knot_vector([0, 0.5, 1], 2).knots.copy()
+    clamped[3] = bad  # the interior knot
+    cyclic = sc.cyclic_knot_vector([0, 0.5, 1], 2).knots.copy()
+    cyclic[0] = bad  # an extension knot
+    for knots, style in ((clamped, "clamped"), (cyclic, "cyclic")):
+        with pytest.raises(InvalidInputError, match="knots must be finite"):
+            sc.KnotVector(knots, 2, style)
+
+
+def test_padded_knot_batch_checks_finiteness_within_each_row():
+    batch = np.full((2, 8), np.inf)  # padded with +inf, as the trial harness pads
+    batch[0, :7] = sc.cyclic_knot_vector([0, 0.5, 1], 2).knots
+    batch[1] = sc.cyclic_knot_vector([0, 0.25, 0.5, 1], 2).knots
+    lengths = np.array([7, 8])
+    assert sc.KnotVector(batch, 2, "cyclic", lengths).n_basis.tolist() == [4, 5]
+    batch[0, 1] = np.nan
+    with pytest.raises(InvalidInputError, match="knots must be finite"):
+        sc.KnotVector(batch, 2, "cyclic", lengths)
+
+
 def test_linear_hat_slopes():
     kv = sc.clamped_knot_vector([0, 1], 1)
     _, ders = sc.basis_derivatives(kv, 0.3, 1)
@@ -206,7 +228,9 @@ def test_first_derivative_finite_difference(rng):
         u = rng.uniform(0.05, 0.95)
         if np.abs(kv.knots - u).min() < 4 * h:
             continue
-        analytic = sc.basis_derivatives(kv, u, 1, full=True)[1]
+        span, ders = sc.basis_derivatives(kv, u, 1)
+        analytic = np.zeros(kv.n_basis)
+        analytic[span - kv.degree: span + 1] = ders[1]
         fd = (sc.basis_functions(kv, u + h) - sc.basis_functions(kv, u - h)) / (2 * h)
         np.testing.assert_allclose(analytic, fd, atol=1e-6)
         checked += 1
