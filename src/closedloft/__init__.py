@@ -33,9 +33,7 @@ from .spline_core import (
     surface_partial,
 )
 from .param_knots import (
-    AnchorVectors,
     ParameterValues,
-    anchor_vectors,
     averaging_knots_open,
     check_conjecture1,
     check_conjecture2,

@@ -27,13 +27,7 @@ from .linalg_solve import (
     solve_dense,
     solve_kkt,
 )
-from .param_knots import (
-    STRICT_TOL,
-    anchor_vectors,
-    check_conjecture1,
-    check_conjecture2,
-    shift_parameters,
-)
+from .param_knots import SELECT_MARGIN, check_conjecture1, check_conjecture2, parity_form
 from .spline_core import (
     BSplineCurve,
     KnotVector,
@@ -49,10 +43,6 @@ from .spline_core import (
 
 OPEN_RESIDUAL_TOL = 1e-9
 CLOSED_RESIDUAL_TOL = 1e-8
-
-# Selected knots keep this margin to their bracket endpoints so the outputs
-# of the selection procedures always pass the strict condition checks.
-SELECT_MARGIN = 10.0 * STRICT_TOL
 
 
 @dataclass(frozen=True)
@@ -243,28 +233,22 @@ def _finish_closed(problem, kv, matrix, ctrl, verdict):
 def select_domain_knots(params, input_kv, degree, per):
     """Knot selection against an existing knot vector (the square pipeline).
 
-    For each bracket the input knot nearest to the anchor is taken when it
-    falls inside the per-scaled selection interval, otherwise the anchor
-    itself; selections are forced strictly increasing.
+    Bracket i (the per-scaled bracket (a_i, b_i) of :func:`parity_form`)
+    takes the distinct input knot nearest its anchor u_i, the smaller of two
+    at equal distance, when that knot lies more than ``SELECT_MARGIN``
+    inside the bracket, and u_i otherwise.  The brackets are disjoint and
+    ordered, so the selections increase strictly without a check against
+    the previous one.
     """
-    if not 0.0 <= per <= 1.0:
-        raise InvalidInputError("per must lie in [0, 1]")
-    av = anchor_vectors(params, degree)
+    anchors, _, a, b = parity_form(params, degree, per)
+    u = anchors[1:-1]
     candidates = np.asarray(knot_multiplicities(input_kv.knots)[0])
-    domain = np.empty(av.n + 2)
-    domain[0], domain[-1] = 0.0, 1.0
-    prev = 0.0
-    for i in range(1, av.n + 1):
-        a = (1.0 - per) * av.anchors[i] + per * av.bounds[i - 1]
-        b = (1.0 - per) * av.anchors[i] + per * av.bounds[i]
-        k = int(np.argmin(np.abs(candidates - av.anchors[i])))  # ties: smaller knot
-        c = candidates[k]
-        if a + SELECT_MARGIN < c < b - SELECT_MARGIN and c > prev + SELECT_MARGIN:
-            domain[i] = c
-        else:
-            domain[i] = av.anchors[i]
-        prev = domain[i]
-    return validate_domain_knots(domain)
+    # the neighbours around each anchor; the nearer wins, the left one on a tie
+    j = np.clip(np.searchsorted(candidates, u, "left"), 1, candidates.size - 1)
+    left, right = candidates[j - 1], candidates[j]
+    c = np.where(u - left <= right - u, left, right)
+    inside = (a + SELECT_MARGIN < c) & (c < b - SELECT_MARGIN)
+    return validate_domain_knots(np.concatenate([[0.0], np.where(inside, c, u), [1.0]]))
 
 
 @dataclass(frozen=True)
@@ -291,7 +275,7 @@ def interpolate_points_by_input_knots(points, params, input_kv, degree, per):
         raise ContractError("pass unshifted parameters; shifting is applied internally")
     pts = as_points(points, min_count=3)
     domain = select_domain_knots(params, input_kv, p, per)
-    solve_params = params if p % 2 == 1 else shift_parameters(params)
+    solve_params = parity_form(params, p)[1]
     problem = ClosedInterpolationProblem(pts, solve_params, domain, p)
     result = interpolate_closed_square(problem)
     clamped = clamp_closed_curve(result.curve)
@@ -300,40 +284,27 @@ def interpolate_points_by_input_knots(points, params, input_kv, degree, per):
 
 
 def build_domain_knots_by_input_knots(params, input_domain, degree, per):
-    """Span-scan selection of domain knots from an input domain-knot set.
+    """Selection of domain knots from an input domain-knot set, one input
+    knot per bracket at most.
 
-    Walks the input knots once; a bracket whose scan window holds no usable
-    knot falls back to its anchor and re-offers the knot to the next bracket.
-    Brackets left over when the input is exhausted receive their anchors.
-    The output always satisfies the square condition for these parameters.
+    Bracket i (the per-scaled bracket (a_i, b_i) of :func:`parity_form`)
+    takes d_j, the first input knot at or above a_i + ``SELECT_MARGIN``,
+    when d_j lies below b_i - ``SELECT_MARGIN``, and its anchor u_i
+    otherwise (also when no such input knot exists).  The output always
+    satisfies the square condition for these parameters.
+
+    This is the span scan over the input knots in closed form.  The scan
+    offers bracket i + 1 the knot after a pick and the same knot after a
+    miss, then steps over every knot below a_{i+1} + ``SELECT_MARGIN``.  A
+    pick d_j lies below b_i - ``SELECT_MARGIN``, under a_{i+1} +
+    ``SELECT_MARGIN``, so the search for bracket i + 1 lands after j too;
+    a miss re-offers d_j, which that search reaches again since a_{i+1} >=
+    a_i.  So the scan's knot is the search's for every bracket, and each
+    pick lies above the previous bracket and its selection.
     """
-    if not 0.0 <= per <= 1.0:
-        raise InvalidInputError("per must lie in [0, 1]")
     d = validate_domain_knots(input_domain)
-    av = anchor_vectors(params, degree)
-    n = av.n
-    nhat1 = d.size - 1
-    out = np.empty(n + 2)
-    out[0], out[n + 1] = 0.0, 1.0
-    span = 0
-    i = 1
-    while i <= n:
-        a = (1.0 - per) * av.anchors[i] + per * av.bounds[i - 1]
-        b = (1.0 - per) * av.anchors[i] + per * av.bounds[i]
-        exhausted = False
-        while d[i + span] < a + SELECT_MARGIN:
-            span += 1
-            if i + span > nhat1:
-                exhausted = True
-                break
-        if exhausted:
-            break
-        if d[i + span] < b - SELECT_MARGIN and d[i + span] > out[i - 1] + SELECT_MARGIN:
-            out[i] = d[i + span]
-        else:
-            out[i] = av.anchors[i]
-            span -= 1
-        i += 1
-    for k in range(i, n + 1):
-        out[k] = av.anchors[k]
-    return validate_domain_knots(out)
+    anchors, _, a, b = parity_form(params, degree, per)
+    j = np.searchsorted(d, a + SELECT_MARGIN, "left")
+    c = d[np.minimum(j, d.size - 1)]
+    inside = (j < d.size) & (c < b - SELECT_MARGIN)
+    return validate_domain_knots(np.concatenate([[0.0], np.where(inside, c, anchors[1:-1]), [1.0]]))

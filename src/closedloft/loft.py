@@ -37,15 +37,11 @@ from .linalg_solve import (
     stiffness_matrix,
 )
 from .param_knots import (
-    NATURAL,
-    SHIFTING,
     ParameterValues,
-    anchor_vectors,
     averaging_knots_open,
-    closed_knots,
     closed_parameters,
     open_parameters,
-    shift_parameters,
+    parity_form,
 )
 from .spline_core import (
     BSplineCurve,
@@ -202,18 +198,16 @@ def interpolate_all_row_points(rows, degree, per):
     """Interpolate every row against a threaded knot vector and make the
     resulting clamped curves compatible.
 
-    The seed vector comes from the averaged parameters of the largest rows
-    (natural knots for odd degree, shifting knots for even); each row's
-    selections are merged back so later rows reuse earlier knots.  The common
-    knot vector is the merge of the rows' clamped knot vectors.  The rows are
+    The seed vector is the :func:`parity_form` anchors of the averaged
+    parameters of the largest rows (natural knots for odd degree, shifting
+    knots for even), and that call checks ``per``; each row's selections
+    are merged back so later rows reuse earlier knots.  The common knot
+    vector is the merge of the rows' clamped knot vectors.  The rows are
     taken as given: a loft validates and aligns them first.
     """
     rows = as_contour_rows(rows)
-    if not 0.0 <= per <= 1.0:
-        raise InvalidInputError("per must lie in [0, 1]")
     params = _row_parameters(rows.rows)
-    method = NATURAL if degree % 2 == 1 else SHIFTING
-    seed_domain, _ = closed_knots(_averaged_max_row_parameters(params), method, degree)
+    seed_domain = parity_form(_averaged_max_row_parameters(params), degree, per)[0]
     threaded = clamped_knot_vector(seed_domain, degree)
 
     curves, solve_params, residuals = [], [], []
@@ -234,14 +228,13 @@ def build_common_domain_knots(params, degree, per):
     """One set of domain knots feasible for every row, from the rows' chord
     parameters.
 
-    Seeded by the anchors of the averaged largest-row parameters; each row's
-    span-scan selection is merged into the threaded seed (steering later
-    rows toward shared knots) and the returned set is the merge of the
-    per-row selections, so every row has a feasible subsequence in it.
+    Seeded by the :func:`parity_form` anchors of the averaged largest-row
+    parameters, and that call checks ``per``; each row's selection is
+    merged into the threaded seed (steering later rows toward shared knots)
+    and the returned set is the merge of the per-row selections, so every
+    row has a feasible subsequence in it.
     """
-    if not 0.0 <= per <= 1.0:
-        raise InvalidInputError("per must lie in [0, 1]")
-    threaded = anchor_vectors(_averaged_max_row_parameters(params), degree).anchors
+    threaded = parity_form(_averaged_max_row_parameters(params), degree, per)[0]
     collected = None
     for i, t_row in enumerate(params):
         with _row(i):
@@ -365,7 +358,7 @@ def loft_closed_park(rows, degree_u, degree_v, per, alpha=1.0, beta=0.2, align="
     common = None
     for i, (r, t_row) in enumerate(zip(rows.rows, params)):
         with _row(i):
-            t_solve = t_row if degree_v % 2 == 1 else shift_parameters(t_row)
+            t_solve = parity_form(t_row, degree_v)[1]
             problem = ClosedInterpolationProblem(r, t_solve, common_domain, degree_v)
             if problem.nhat > problem.n:
                 if stiff is None:

@@ -7,8 +7,9 @@ domain knots must lie strictly between consecutive chord midpoints of the
 parameter values; for even degree the parameters are first shifted by half
 the wrap gap (t̃_i = t_i + d_n/2) and each domain knot must lie strictly
 between consecutive shifted parameters.  Both forms reduce to the same
-bracket test against the anchor/bound vectors, which is what the knot
-selection procedures exploit.
+bracket test (:func:`bracket_bounds`).  :func:`parity_form` picks the form
+for a degree and scales the brackets around their anchors by ``per``; the
+knot selection procedures choose inside those scaled brackets.
 """
 
 from dataclasses import dataclass
@@ -103,12 +104,15 @@ def closed_parameters(points):
 
     t_0 = 0 and t_i is the cumulative chord length over the total, with the
     wrap chord from the last point back to the first included in the total,
-    so t_n < 1.
+    so t_n < 1.  The wrap chord's share must also raise t_n: a share that
+    t_n absorbs leaves the wrap gap 1 - t_n to the rounding of the sums.
     """
     pts = as_points(points, min_count=3)
     chords = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
-    t = np.concatenate([[0.0], np.cumsum(chords[:-1])]) / chords.sum()
-    _check_chords(chords, np.append(t, 1.0), " (wrap included)")
+    total = chords.sum()
+    t = np.concatenate([[0.0], np.cumsum(chords[:-1])]) / total
+    wrap_end = min(t[-1] + chords[-1] / total, 1.0)
+    _check_chords(chords, np.append(t, wrap_end), " (wrap included)")
     return ParameterValues(t)
 
 
@@ -183,48 +187,6 @@ def closed_knots(params, method, degree):
     return validate_domain_knots(domain), params
 
 
-@dataclass(frozen=True)
-class AnchorVectors:
-    """Anchor domain knots u_i^p and bound values x_i for a degree.
-
-    The bounds interlace the anchors strictly: x_{i-1} < u_i^p < x_i, so the
-    open interval (x_{i-1}, x_i) is the feasibility bracket of knot i.
-    """
-
-    anchors: np.ndarray
-    bounds: np.ndarray
-    degree: int
-
-    @property
-    def n(self):
-        return self.bounds.size - 1
-
-
-def anchor_vectors(params, degree):
-    """Anchors and bounds for selecting domain knots against existing ones.
-
-    Odd degree: u_i^p = t_i and x_i = (t_i + t_{i+1})/2 (with t_{n+1} = 1).
-    Even degree: u_i^p = d_n/2 + (t_{i-1} + t_i)/2 and x_i = d_n/2 + t_i.
-    """
-    if params.shifted:
-        raise ContractError("anchor_vectors expects unshifted parameters")
-    t = params.values
-    if t[-1] >= 1.0:
-        raise InvalidInputError("closed parameters require t_n < 1")
-    p = int(degree)
-    n = t.size - 1
-    if p % 2 == 1:
-        ext = np.concatenate([t, [1.0]])
-        anchors = np.concatenate([[0.0], t[1:], [1.0]])
-        bounds = (ext[:-1] + ext[1:]) / 2.0
-    else:
-        dn = 1.0 - t[-1]
-        anchors = np.concatenate([[0.0], (t[:-1] + t[1:]) / 2.0 + dn / 2.0, [1.0]])
-        bounds = t + dn / 2.0
-    assert anchors.size == n + 2 and bounds.size == n + 1
-    return AnchorVectors(anchors, bounds, p)
-
-
 def condition_brackets(params, degree):
     """The open intervals (lo_i, hi_i), i = 1..n, that the interior domain
     knots must occupy for the closed interpolation condition.
@@ -252,6 +214,35 @@ def bracket_bounds(t, degree):
         mids = (ext[..., :-1] + ext[..., 1:]) / 2.0
         return mids[..., :-1], mids[..., 1:]
     return t[..., :-1], t[..., 1:]
+
+
+# Selected knots keep this margin to their bracket endpoints so the outputs
+# of the selection procedures always pass the strict condition checks.
+SELECT_MARGIN = 10.0 * STRICT_TOL
+
+
+def parity_form(params, degree, per=1.0):
+    """Unshifted closed parameters in the parity form of the degree, with
+    the anchors and the per-scaled brackets that knot selection works from.
+
+    Returns ``(anchors, parity, a, b)``.  ``(anchors, parity)`` is
+    ``closed_knots(params, NATURAL if degree is odd else SHIFTING, degree)``:
+    odd degree keeps the parameters and anchors u_i = t_i, even degree
+    shifts them and anchors at the midpoints of the shifted parameters.
+    With (lo_i, hi_i) the :func:`bracket_bounds` of ``parity``, bracket i
+    is a_i = (1-per)·u_i + per·lo_i to b_i = (1-per)·u_i + per·hi_i: per = 0
+    shrinks it to its anchor, per = 1 opens it to the whole condition
+    bracket.
+
+    A row's brackets are disjoint and ordered: hi_{i-1} and lo_i are the
+    same float, and rounding is monotone, so b_{i-1} <= a_i.
+    """
+    if not 0.0 <= per <= 1.0:
+        raise InvalidInputError("per must lie in [0, 1]")
+    anchors, parity = closed_knots(params, NATURAL if int(degree) % 2 == 1 else SHIFTING, degree)
+    lo, hi = bracket_bounds(parity.values, degree)
+    u = anchors[1:-1]
+    return anchors, parity, (1.0 - per) * u + per * lo, (1.0 - per) * u + per * hi
 
 
 def _all_within(ok, n):

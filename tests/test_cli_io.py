@@ -523,6 +523,17 @@ def test_cmd_loft_collapsed_chord_exit_1(tmp_path, method):
     assert err.startswith("closedloft: invalid input: row 2: parameters coincide at index 4")
 
 
+@pytest.mark.parametrize("method", ["piegl", "park"])
+def test_cmd_loft_collapsed_wrap_chord_exit_1(tmp_path, method):
+    rows = [circle_points(16, z=float(i)) for i in range(5)]
+    rows[2][15] = rows[2][0] + [0.0, 1e-20, 0.0]  # t_n absorbs the wrap chord
+    inp = _write(tmp_path, "rows.json", json.dumps({"version": 1, "rows": [r.tolist() for r in rows]}))
+    out = tmp_path / "surface.json"
+    code, _, err = _run(["loft", "--input", inp, "--method", method, "--align", "none", "--output", str(out)])
+    assert code == 1 and not out.exists()
+    assert err.startswith("closedloft: invalid input: row 2: parameters coincide at index 15")
+
+
 def test_cmd_loft_missing_file(tmp_path):
     code, _, err = _run(["loft", "--input", str(tmp_path / "nope.json"), "--output", "o.json"])
     assert code == 1

@@ -1,11 +1,15 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from closedloft import curve_interp as ci
 from closedloft import linalg_solve as la
 from closedloft import param_knots as pk
 from closedloft import spline_core as sc
 from closedloft.errors import (
+    ClosedLoftError,
     ContractError,
     InvalidInputError,
     PreconditionError,
@@ -279,7 +283,7 @@ def test_select_per_zero_degenerates_to_anchors():
     t = pk.ParameterValues(np.array([0, 0.25, 0.5, 0.75]))
     input_kv = sc.clamped_knot_vector([0, 0.3, 0.52, 0.8, 1], 3)
     domain = ci.select_domain_knots(t, input_kv, 3, 0.0)
-    np.testing.assert_allclose(domain, pk.anchor_vectors(t, 3).anchors)
+    np.testing.assert_allclose(domain, pk.parity_form(t, 3)[0])
 
 
 def test_procedure2_pipeline_and_merge_grows(rng):
@@ -320,7 +324,7 @@ def test_procedure2_rejects_shifted_input():
 
 def test_procedure4_anchor_fixed_point():
     t = pk.ParameterValues(np.array([0, 0.25, 0.5, 0.75]))
-    anchors = pk.anchor_vectors(t, 3).anchors
+    anchors = pk.parity_form(t, 3)[0]
     out = ci.build_domain_knots_by_input_knots(t, anchors, 3, 1.0)
     np.testing.assert_allclose(out, anchors)
 
@@ -329,7 +333,7 @@ def test_procedure4_per_zero_gives_anchors(rng):
     t = pk.ParameterValues(np.concatenate([[0], np.sort(rng.uniform(0.05, 0.9, 6))]))
     dense = np.concatenate([[0], np.sort(rng.uniform(0.02, 0.98, 14)), [1]])
     out = ci.build_domain_knots_by_input_knots(t, dense, 3, 0.0)
-    np.testing.assert_allclose(out, pk.anchor_vectors(t, 3).anchors)
+    np.testing.assert_allclose(out, pk.parity_form(t, 3)[0])
 
 
 def test_procedure4_hand_example():
@@ -353,6 +357,138 @@ def test_procedure4_output_always_satisfies_condition(rng):
         out = ci.build_domain_knots_by_input_knots(t, domain, degree, per)
         parity = pk.shift_parameters(t) if degree % 2 == 0 else t
         assert pk.check_conjecture1(parity, out, degree)
+
+
+# --- the selection loops, as the oracle of the two selection rules ---
+
+def reference_anchor_vectors(params, degree):
+    """Anchors u_i^p and bounds x_i, with x_{i-1} < u_i^p < x_i.
+
+    Odd degree: u_i^p = t_i and x_i = (t_i + t_{i+1})/2 (with t_{n+1} = 1).
+    Even degree: u_i^p = d_n/2 + (t_{i-1} + t_i)/2 and x_i = d_n/2 + t_i.
+    """
+    t = params.values
+    if degree % 2 == 1:
+        ext = np.concatenate([t, [1.0]])
+        anchors = np.concatenate([[0.0], t[1:], [1.0]])
+        bounds = (ext[:-1] + ext[1:]) / 2.0
+    else:
+        dn = 1.0 - t[-1]
+        anchors = np.concatenate([[0.0], (t[:-1] + t[1:]) / 2.0 + dn / 2.0, [1.0]])
+        bounds = t + dn / 2.0
+    return SimpleNamespace(anchors=anchors, bounds=bounds, n=bounds.size - 1)
+
+
+SELECT_MARGIN = pk.SELECT_MARGIN
+
+
+def select_domain_knots_loop(params, input_kv, degree, per):
+    """select_domain_knots bracket by bracket."""
+    if not 0.0 <= per <= 1.0:
+        raise InvalidInputError("per must lie in [0, 1]")
+    av = reference_anchor_vectors(params, degree)
+    candidates = np.asarray(sc.knot_multiplicities(input_kv.knots)[0])
+    domain = np.empty(av.n + 2)
+    domain[0], domain[-1] = 0.0, 1.0
+    prev = 0.0
+    for i in range(1, av.n + 1):
+        a = (1.0 - per) * av.anchors[i] + per * av.bounds[i - 1]
+        b = (1.0 - per) * av.anchors[i] + per * av.bounds[i]
+        k = int(np.argmin(np.abs(candidates - av.anchors[i])))  # ties: smaller knot
+        c = candidates[k]
+        if a + SELECT_MARGIN < c < b - SELECT_MARGIN and c > prev + SELECT_MARGIN:
+            domain[i] = c
+        else:
+            domain[i] = av.anchors[i]
+        prev = domain[i]
+    return sc.validate_domain_knots(domain)
+
+
+def build_domain_knots_loop(params, input_domain, degree, per):
+    """build_domain_knots_by_input_knots as the span scan over the input knots."""
+    if not 0.0 <= per <= 1.0:
+        raise InvalidInputError("per must lie in [0, 1]")
+    d = sc.validate_domain_knots(input_domain)
+    av = reference_anchor_vectors(params, degree)
+    n = av.n
+    nhat1 = d.size - 1
+    out = np.empty(n + 2)
+    out[0], out[n + 1] = 0.0, 1.0
+    span = 0
+    i = 1
+    while i <= n:
+        a = (1.0 - per) * av.anchors[i] + per * av.bounds[i - 1]
+        b = (1.0 - per) * av.anchors[i] + per * av.bounds[i]
+        exhausted = False
+        while d[i + span] < a + SELECT_MARGIN:
+            span += 1
+            if i + span > nhat1:
+                exhausted = True
+                break
+        if exhausted:
+            break
+        if d[i + span] < b - SELECT_MARGIN and d[i + span] > out[i - 1] + SELECT_MARGIN:
+            out[i] = d[i + span]
+        else:
+            out[i] = av.anchors[i]
+            span -= 1
+        i += 1
+    for k in range(i, n + 1):
+        out[k] = av.anchors[k]
+    return sc.validate_domain_knots(out)
+
+
+def _outcome(select, *args):
+    try:
+        return select(*args).tobytes()
+    except ClosedLoftError as exc:
+        return type(exc), str(exc)
+
+
+@settings(deadline=None, max_examples=400)
+@given(
+    degree=st.integers(1, 6),
+    n_extra=st.integers(0, 40),
+    sigma=st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.0]),
+    floor=st.sampled_from([1e-4, 1e-8, 1e-12]),
+    per=st.sampled_from([0.0, 1e-9, 1e-6, None, 0.999999, 1.0]),
+    family=st.sampled_from(["uniform", "anchors", "lo", "pairs"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_selection_rules_equal_the_loops(degree, n_extra, sigma, floor, per, family, seed):
+    # chord gaps log-normal, floored; input knots drawn uniformly, put on
+    # the anchors, put within two margins of the condition brackets' lower
+    # ends (where the strict tests decide), or put in pairs equally far
+    # either side of the anchors (where the tie rule decides)
+    rng = np.random.default_rng(seed)
+    n = degree + 1 + n_extra
+    gaps = rng.lognormal(0.0, sigma, n + 1)
+    gaps = np.maximum(gaps / gaps.sum(), floor)
+    t = pk.ParameterValues(np.concatenate([[0.0], np.cumsum(gaps[:-1])]) / gaps.sum())
+    per = rng.uniform() if per is None else per
+    anchors, parity, lo, hi = pk.parity_form(t, degree)
+    av = reference_anchor_vectors(t, degree)
+    assert (anchors.tobytes(), np.append(lo, hi[-1]).tobytes()) == (av.anchors.tobytes(), av.bounds.tobytes())
+    assert parity.values.tobytes() == (t if degree % 2 else pk.shift_parameters(t)).values.tobytes()
+    u = anchors[1:-1]
+    if family == "uniform":
+        interior = rng.uniform(0.0, 1.0, int(rng.integers(1, 2 * n + 2)))
+    elif family == "anchors":
+        interior = u
+    elif family == "lo":
+        interior = lo + rng.integers(-2, 3, lo.size) * 1e-9
+    else:
+        offset = 2.0 ** -rng.integers(16, 31, u.size)
+        interior = np.concatenate([u - offset, u + offset])
+    interior = np.unique(interior[(interior > 0.0) & (interior < 1.0)])
+    domain = np.concatenate([[0.0], interior, [1.0]])
+    input_kv = sc.clamped_knot_vector(domain, degree)
+    assert _outcome(ci.select_domain_knots, t, input_kv, degree, per) == _outcome(
+        select_domain_knots_loop, t, input_kv, degree, per
+    )
+    assert _outcome(ci.build_domain_knots_by_input_knots, t, domain, degree, per) == _outcome(
+        build_domain_knots_loop, t, domain, degree, per
+    )
 
 
 def test_selection_guided_square_solves_never_singular(rng):

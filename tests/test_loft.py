@@ -115,7 +115,7 @@ def _chord_params(rows):
 def test_common_domain_single_row_per_zero_is_anchors():
     t = pk.closed_parameters(circle_points(12))
     domain = lf.build_common_domain_knots([t], 3, 0.0)
-    np.testing.assert_allclose(domain, pk.anchor_vectors(t, 3).anchors)
+    np.testing.assert_allclose(domain, pk.parity_form(t, 3)[0])
 
 
 def test_common_domain_duplicate_row_unchanged():
@@ -345,6 +345,23 @@ _ROW_2_FAILURES = {
 def test_per_row_failure_names_the_row(method, failure):
     with pytest.raises(InvalidInputError, match=_ROW_2_FAILURES[failure]):
         _PIPELINES[method](_rows_failing_at_row_2(failure))
+
+
+@pytest.mark.parametrize("loft", [lf.loft_closed_piegl, lf.loft_closed_park])
+@pytest.mark.parametrize("offset", [1e-20, 3e-16])
+def test_collapsed_wrap_chord_names_the_row_and_point(loft, offset):
+    # the wrap chord's share of the total does not raise t_n, so t_n would
+    # sit 1 ulp below 1 by the rounding of the sums alone
+    rows = [circle_points(16, z=float(i)) for i in range(5)]
+    rows[2][15] = rows[2][0] + [0.0, offset, 0.0]
+    with pytest.raises(InvalidInputError, match=r"^row 2: parameters coincide at index 15 \(wrap included\)"):
+        loft(rows, 3, 3, 1.0, align="none")
+
+
+def test_short_wrap_chord_that_raises_t_n_still_lofts():
+    rows = [circle_points(16, z=float(i)) for i in range(5)]
+    rows[2][15] = rows[2][0] + [0.0, 1e-14, 0.0]
+    lf.loft_closed_park(rows, 3, 3, 1.0, align="none")  # checks its own residuals
 
 
 def test_loft_rejects_undersized_rows():
