@@ -9,22 +9,29 @@ reports aggregate statistics.
 
 Trials are reproducible and order-independent: trial (degree, index) draws
 from ``Philox(SeedSequence(entropy=seed, spawn_key=(degree, index)))``.  A
-run first draws every trial of a degree from its own stream, then measures
-all the draws of that degree in one pass over a padded batch, whatever their
-n and n̂: one check of the domains and parameters, one cyclic extension, one
-[N; A] assembly and one condition test for the whole batch, and one stacked
-SVD per distinct matrix shape.  Every step works row by row with the
-arithmetic of a single trial, and each SVD sees the matrices themselves, not
-their padding, so a record does not depend on which trials share its batch.
+run works one degree at a time.  Each trial's generator makes only the calls
+that consume its stream, in a fixed order: ``integers`` for n (and for the
+extra knots), then one ``random`` or ``normal`` call per raw array.  The
+rest of the drawing runs once over the padded batch of the degree:
+normalizing the gaps, the parity shift, the brackets, placing the knots and
+filtering and sorting them.  ``uniform(a, b)`` is drawn as a + (b - a)·random(),
+which is how numpy computes it, and each row's sums keep the pairwise order
+of a sum over that row alone, so every row gets the bits of its trial drawn
+alone.  The measurement is one pass over the same batch, whatever the n and
+n̂ of its rows: one check of the domains and parameters, one cyclic
+extension, one [N; A] assembly and one condition test, one stacked SVD per
+distinct matrix shape into one zero-padded array of singular values, and one
+rank reduction (``rank_report``'s) over that array.  Each SVD sees the
+matrices themselves, not their padding, so a record does not depend on
+which trials share its batch.
 """
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .linalg_solve import assemble_closed_system, rank_report
+from .linalg_solve import assemble_closed_system, singular_value_rank
 from .param_knots import (
     ParameterValues,
     bracket_bounds,
@@ -32,7 +39,7 @@ from .param_knots import (
     greedy_witness_scan,
     knots_inside_brackets,
 )
-from .spline_core import cyclic_knot_vector
+from .spline_core import cyclic_knot_vector, row_prefix
 from .errors import InvalidInputError
 
 GENERATOR_ID = (
@@ -160,155 +167,196 @@ def _trial_rng(seed, degree, index):
     )
 
 
-def _sample_parameters(rng, n, law):
-    """Unshifted parameter values t_0 = 0 < ... < t_n < 1."""
-    if law == UNIFORM_GAP:
-        gaps = rng.uniform(0.05, 1.0, n + 1)
-    else:
-        gaps = np.exp(rng.normal(0.0, 1.0, n + 1))
-    gaps = gaps / gaps.sum()
-    gaps = np.maximum(gaps, 1e-4)  # keep bracket widths numerically meaningful
-    gaps = gaps / gaps.sum()
-    return np.concatenate([[0.0], np.cumsum(gaps[:-1])])
-
-
-def _sample_inside(rng, lo, hi):
-    width = hi - lo
-    delta = 1e-6 * width + 1e-9
-    return rng.uniform(lo + delta, hi - delta)
-
-
-def _parity_draw(rng, n, law, degree):
-    """Parameters in the parity form of the condition (shifted for even
-    degree, by the arithmetic of ``shift_parameters``) and their brackets."""
-    t = _sample_parameters(rng, n, law)
-    if degree % 2 == 0:
-        t = t + (1.0 - t[-1]) / 2.0
-    return (t,) + bracket_bounds(t, degree)
-
-
-class _Draw(NamedTuple):
-    """One sampled configuration, before any measurement."""
+class _Batch(NamedTuple):
+    """The sampled configurations of one degree as a padded batch, before
+    any measurement."""
 
     degree: int
-    index: int
-    params: np.ndarray  # parity-form parameter values
-    domain: np.ndarray
-    epsilon: Optional[float] = None
+    index: list          # trial index of each row
+    params: np.ndarray   # parity-form parameters, padded with 1.0
+    counts: np.ndarray   # n + 1 per row
+    domains: np.ndarray  # domain knots, padded with +inf
+    sizes: np.ndarray    # n̂ + 2 per row
+    epsilon: Optional[list] = None
 
 
-def _draw_conjecture1(cfg, degree, index):
-    rng = _trial_rng(cfg.seed, degree, index)
-    n = int(rng.integers(max(cfg.n_range[0], degree + 1), cfg.n_range[1] + 1))
-    t, lo, hi = _parity_draw(rng, n, cfg.t_sampling, degree)
-    interior = _sample_inside(rng, lo, hi)
-    if cfg.d_sampling == VIOLATING:
-        j = int(rng.integers(1, n + 1))
-        upper = interior[j] if j < n else 1.0  # next knot bounds the excursion
-        interior[j - 1] = hi[j - 1] + rng.uniform(0.1, 0.9) * (upper - hi[j - 1])
-    return _Draw(degree, index, t, np.concatenate([[0.0], interior, [1.0]]))
+def _streams(cfg, degree):
+    """Each trial's stream of the degree, and its first draw, the trial's n."""
+    rngs = [_trial_rng(cfg.seed, degree, i) for i in range(cfg.trials)]
+    low, high = max(cfg.n_range[0], degree + 1), cfg.n_range[1] + 1
+    return rngs, np.array([rng.integers(low, high) for rng in rngs])
 
 
-def _draw_conjecture2(cfg, degree, index):
-    rng = _trial_rng(cfg.seed, degree, index)
-    n = int(rng.integers(max(cfg.n_range[0], degree + 1), cfg.n_range[1] + 1))
-    extra = int(rng.integers(cfg.nhat_extra[0], cfg.nhat_extra[1] + 1))
-    t, lo, hi = _parity_draw(rng, n, cfg.t_sampling, degree)
-    if cfg.d_sampling == VIOLATING:
-        # every interior knot below the first bracket: no feasible subsequence
-        interior = np.sort(rng.uniform(1e-4, lo[0] * 0.9, n + extra))
-    else:
-        witness = _sample_inside(rng, lo, hi)
-        distractors = rng.uniform(0.002, 0.998, extra)
-        keep = distractors[np.abs(witness[:, None] - distractors).min(axis=0) > 1e-5]
-        interior = np.sort(np.concatenate([witness, keep]))
-        tight = np.diff(interior) <= 1e-6
-        if np.any(tight):  # drop distractors that crowd a witness knot
-            interior = np.delete(interior, np.nonzero(tight)[0] + 1)
-    return _Draw(degree, index, t, np.concatenate([[0.0], interior, [1.0]]))
-
-
-def _stack_summaries(matrices, rank_tol):
-    """(σ_min, σ_max, rank, full rank) of each matrix of an equal-shape
-    stack, from one stacked SVD.  If that SVD fails, the stack is redone one
-    matrix at a time, and only a matrix whose own SVD fails records
-    (0.0, nan, 0, False).
-    """
-    try:
-        report = rank_report(matrices, rank_tol)
-    except np.linalg.LinAlgError:
-        if matrices.ndim == 2:
-            return [(0.0, float("nan"), 0, False)]
-        return [out for matrix in matrices for out in _stack_summaries(matrix, rank_tol)]
-    s = np.atleast_2d(report.singular_values)
-    rows = matrices.shape[-2]
-    return [
-        (float(smin), float(smax), int(rank), int(rank) == rows)
-        for smin, smax, rank in zip(s[:, -1], s[:, 0], np.atleast_1d(report.rank))
-    ]
-
-
-def _singular_summaries(matrices, rows, cols, rank_tol):
-    """:func:`_stack_summaries` of matrix b = ``matrices[b, :rows[b],
-    :cols[b]]`` of a zero-padded batch: one stacked SVD per distinct shape,
-    on the matrices themselves, so each gets the bits a call on it alone
-    gives."""
-    shapes = defaultdict(list)
-    for b, shape in enumerate(zip(rows.tolist(), cols.tolist())):
-        shapes[shape].append(b)
-    out = [None] * len(matrices)
-    for (r, c), members in shapes.items():
-        for b, summary in zip(members, _stack_summaries(matrices[members, :r, :c], rank_tol)):
-            out[b] = summary
+def _randoms(rngs, lengths, normal=False):
+    """Row b: one ``random`` call (or ``normal(0, 1)``) of lengths[b] draws
+    on stream b, then zeros."""
+    out = np.zeros((len(rngs), int(lengths.max())))
+    for rng, row, k in zip(rngs, out, lengths.tolist()):
+        if normal:
+            row[:k] = rng.normal(0.0, 1.0, k)
+        else:
+            rng.random(out=row[:k])
     return out
 
 
-def _padded(rows, fill):
-    """Rows of different lengths as one array padded with ``fill``, and
-    their lengths."""
-    lengths = np.array([row.size for row in rows])
-    out = np.full((len(rows), lengths.max()), fill)
-    out[np.arange(out.shape[1]) < lengths[:, None]] = np.concatenate(rows)
-    return out, lengths
+def _row_sums(a, lengths):
+    """Row b's sum over its first lengths[b] entries, in the pairwise order
+    numpy sums that many alone: one ``sum`` per distinct length."""
+    out = np.empty(len(a))
+    for k in np.unique(lengths).tolist():
+        rows = lengths == k
+        out[rows] = a[rows, :k].sum(axis=1)
+    return out
 
 
-def _measure_degree(draws, conjecture, rank_tol):
-    """Records of the draws of one degree, in draw order, from one pass over
-    the padded batch of all of them.
+def _parity_draws(rngs, n, law, degree):
+    """Each stream's parameters t_0 = 0 < ... < t_n < 1 in the parity form
+    of the degree (shifted for even degree, by the arithmetic of
+    ``shift_parameters``), padded with 1.0, and their brackets."""
+    counts = n + 1
+    if law == UNIFORM_GAP:  # uniform(a, b) draws a + (b - a)·random()
+        gaps = 0.05 + (1.0 - 0.05) * _randoms(rngs, counts)
+    else:
+        gaps = np.exp(_randoms(rngs, counts, normal=True))
+    gaps = gaps / _row_sums(gaps, counts)[:, None]
+    gaps = np.maximum(gaps, 1e-4)  # keep bracket widths numerically meaningful
+    gaps = gaps / _row_sums(gaps, counts)[:, None]
+    t = np.zeros_like(gaps)
+    t[:, 1:] = np.cumsum(gaps[:, :-1], axis=1)
+    if degree % 2 == 0:
+        t = t + ((1.0 - t[np.arange(len(t)), n]) / 2.0)[:, None]
+    t[~row_prefix(counts, t.shape[1])] = 1.0
+    return (t, counts) + bracket_bounds(t, degree)
+
+
+def _inside(rngs, lo, hi, n):
+    """One draw per bracket strictly inside it, padded with +inf."""
+    delta = 1e-6 * (hi - lo) + 1e-9
+    a, b = lo + delta, hi - delta
+    x = a + (b - a) * _randoms(rngs, n)
+    x[~row_prefix(n, x.shape[1])] = np.inf
+    return x
+
+
+def _domains(interior, counts):
+    """Domain knots 0, the first counts[b] interior knots of row b (sorted,
+    +inf after them), 1, padded with +inf; and their sizes."""
+    sizes = counts + 2
+    out = np.full((len(interior), interior.shape[1] + 2), np.inf)
+    out[:, 0] = 0.0
+    out[:, 1:-1] = interior
+    out[np.arange(len(out)), sizes - 1] = 1.0
+    return out[:, : sizes.max(initial=0)], sizes
+
+
+def _draw_conjecture1(cfg, degree):
+    rngs, n = _streams(cfg, degree)
+    t, counts, lo, hi = _parity_draws(rngs, n, cfg.t_sampling, degree)
+    interior = _inside(rngs, lo, hi, n)
+    if cfg.d_sampling == VIOLATING:
+        j = np.array([rng.integers(1, k + 1) for rng, k in zip(rngs, n.tolist())])
+        factor = 0.1 + (0.9 - 0.1) * np.array([rng.random() for rng in rngs])
+        rows = np.arange(len(rngs))
+        # the next knot bounds the excursion
+        upper = np.where(j < n, interior[rows, np.minimum(j, interior.shape[1] - 1)], 1.0)
+        edge = hi[rows, j - 1]
+        interior[rows, j - 1] = edge + factor * (upper - edge)
+    return _Batch(degree, list(range(cfg.trials)), t, counts, *_domains(interior, n))
+
+
+def _draw_conjecture2(cfg, degree):
+    rngs, n = _streams(cfg, degree)
+    extra = np.array([rng.integers(cfg.nhat_extra[0], cfg.nhat_extra[1] + 1) for rng in rngs])
+    t, counts, lo, hi = _parity_draws(rngs, n, cfg.t_sampling, degree)
+    if cfg.d_sampling == VIOLATING:
+        # every interior knot below the first bracket: no feasible subsequence
+        count = n + extra
+        low, high = 1e-4, lo[:, :1] * 0.9
+        if (high < low).any():  # as uniform(low, high) refuses
+            raise ValueError("high - low < 0")
+        interior = low + (high - low) * _randoms(rngs, count)
+        interior[~row_prefix(count, interior.shape[1])] = np.inf
+        interior.sort(axis=1)
+    else:
+        witness = _inside(rngs, lo, hi, n)
+        distractors = 0.002 + (0.998 - 0.002) * _randoms(rngs, extra)
+        near = np.abs(witness[:, :, None] - distractors[:, None, :]).min(axis=1)
+        keep = (near > 1e-5) & row_prefix(extra, distractors.shape[1])
+        interior = np.sort(np.concatenate([witness, np.where(keep, distractors, np.inf)], axis=1))
+        # drop distractors that crowd a witness knot
+        with np.errstate(invalid="ignore"):  # inf - inf past a row's knots
+            tight = np.diff(interior, axis=1) <= 1e-6
+        interior[:, 1:][tight] = np.inf
+        interior.sort(axis=1)
+        count = n + keep.sum(axis=1) - tight.sum(axis=1)
+    return _Batch(degree, list(range(cfg.trials)), t, counts, *_domains(interior, count))
+
+
+def _singular_values(matrices, rows, cols):
+    """Singular values of matrix b = ``matrices[b, :rows[b], :cols[b]]`` of
+    a zero-padded batch, as one zero-padded array, and a mask of the
+    matrices whose SVD failed.  One stacked SVD per distinct shape runs on
+    the matrices themselves, so each gets the bits a call on it alone gives.
+    If a stacked SVD fails, its matrices are redone one at a time.
+    """
+    out = np.zeros((len(matrices), int(np.minimum(rows, cols).max())))
+    failed = np.zeros(len(matrices), dtype=bool)
+    key = rows * (int(cols.max()) + 1) + cols
+    order = np.argsort(key, kind="stable")
+    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+    for members in np.split(order, starts[1:]):
+        r, c = int(rows[members[0]]), int(cols[members[0]])
+        try:
+            out[members, : min(r, c)] = np.linalg.svd(matrices[members, :r, :c], compute_uv=False)
+        except np.linalg.LinAlgError:
+            for b in members.tolist():
+                try:
+                    out[b, : min(r, c)] = np.linalg.svd(matrices[b, :r, :c], compute_uv=False)
+                except np.linalg.LinAlgError:
+                    failed[b] = True
+    return out, failed
+
+
+def _measure_degree(batch, conjecture, rank_tol):
+    """Records of a batch of draws of one degree, in row order, from one
+    pass over it.
 
     Building the cyclic knot vectors checks every domain as
     ``validate_domain_knots`` does, and ``ParameterValues`` checks every
     parameter row.  The condition is the bracket test of
     ``check_conjecture1`` (conjecture 1) or the greedy scan of
     ``check_conjecture2`` (conjecture 2), each row reduced over its own
-    brackets.  For conjecture 2 with n <= ``EXHAUSTIVE_LIMIT_N`` each
-    trial's verdict is also checked against exhaustive search.
+    brackets.  σ_min, σ_max and the rank come from one
+    ``singular_value_rank`` reduction over every row's singular values; a
+    matrix whose SVD fails records (0.0, nan, 0, False).  For conjecture 2 with n <=
+    ``EXHAUSTIVE_LIMIT_N`` each trial's verdict is also checked against
+    exhaustive search.
     """
-    degree = draws[0].degree
+    degree, t, counts, domains, sizes = batch.degree, batch.params, batch.counts, batch.domains, batch.sizes
     shifted = degree % 2 == 0
-    # 1.0 after t_n closes each row's last odd-degree bracket at (t_n + 1)/2
-    t, counts = _padded([draw.params for draw in draws], 1.0)
-    # +inf keeps every domain row, and the candidates of the scan, sorted
-    domains, sizes = _padded([draw.domain for draw in draws], np.inf)
     n, nhat = counts - 1, sizes - 2
     params = ParameterValues(t, shifted=shifted, lengths=counts)
     kv = cyclic_knot_vector(domains, degree, lengths=sizes)
-    matrices = assemble_closed_system(params, kv, nhat)
-    summaries = _singular_summaries(matrices, n + 1 + degree, nhat + degree + 1, rank_tol)
+    rows, cols = n + 1 + degree, nhat + degree + 1
+    s, failed = _singular_values(assemble_closed_system(params, kv, nhat), rows, cols)
+    rank, smax, smin, _ = singular_value_rank(s, rank_tol, np.minimum(rows, cols))
+    rank[failed], smax[failed], smin[failed] = 0, np.nan, 0.0
     lo, hi = bracket_bounds(t, degree)
     if conjecture == 1:
         conditions = knots_inside_brackets(domains[:, 1: lo.shape[1] + 1], lo, hi, n)
     else:
         conditions = greedy_witness_scan(domains[:, 1:], lo, hi, n, nhat)[0]
+    epsilon = batch.epsilon or [None] * len(t)
     records = []
-    for draw, k, khat, condition, summary in zip(
-        draws, n.tolist(), nhat.tolist(), conditions.tolist(), summaries
-    ):
+    for b, (index, k, khat, condition, low, high, r, full, eps) in enumerate(zip(
+        batch.index, n.tolist(), nhat.tolist(), conditions.tolist(), smin.tolist(), smax.tolist(),
+        rank.tolist(), (rank == rows).tolist(), epsilon,
+    )):
         agrees = None
         if conjecture == 2 and k <= EXHAUSTIVE_LIMIT_N:
-            parity = ParameterValues(draw.params, shifted=shifted)
-            agrees = condition == exhaustive_witness_exists(parity, draw.domain, degree)
-        records.append(TrialRecord(degree, draw.index, k, khat, condition, *summary, agrees, draw.epsilon))
+            parity = ParameterValues(t[b, : k + 1], shifted=shifted)
+            agrees = condition == exhaustive_witness_exists(parity, domains[b, : khat + 2], degree)
+        records.append(TrialRecord(degree, index, k, khat, condition, low, high, r, full, agrees, eps))
     return records
 
 
@@ -320,8 +368,7 @@ def _run(cfg, draw, threads=1):
         raise InvalidInputError("threads must be >= 1")
     records = []
     for degree in cfg.degrees:  # one degree at a time bounds the draws held
-        draws = [draw(cfg, degree, i) for i in range(cfg.trials)]
-        records.extend(_measure_degree(draws, cfg.conjecture, cfg.rank_tol))
+        records.extend(_measure_degree(draw(cfg, degree), cfg.conjecture, cfg.rank_tol))
     return TrialReport(cfg, records)
 
 
@@ -353,19 +400,15 @@ def boundary_stress(cfg, epsilons):
         raise InvalidInputError("epsilon ladder must be non-negative")
     records = []
     for degree in cfg.degrees:
-        draws = []
-        rng = _trial_rng(cfg.seed, degree, 0)
-        n = int(max((cfg.n_range[0] + cfg.n_range[1]) // 2, degree + 1))
-        t, lo, hi = _parity_draw(rng, n, cfg.t_sampling, degree)
-        mid = (lo + hi) / 2.0
-        j = n // 2
-        for k, e in enumerate(eps):
-            interior = mid.copy()
-            interior[j] = lo[j] + e
-            domain = np.concatenate([[0.0], interior, [1.0]])
-            if np.any(np.diff(domain) <= 0):
-                continue  # epsilon pushed the knot past a neighbour
-            draws.append(_Draw(degree, k, t, domain, e))
-        if draws:
-            records.extend(_measure_degree(draws, 1, cfg.rank_tol))
+        n = np.array([max((cfg.n_range[0] + cfg.n_range[1]) // 2, degree + 1)])
+        t, counts, lo, hi = _parity_draws([_trial_rng(cfg.seed, degree, 0)], n, cfg.t_sampling, degree)
+        interior = np.repeat((lo + hi) / 2.0, len(eps), axis=0)
+        j = int(n[0]) // 2
+        interior[:, j] = lo[0, j] + np.array(eps)
+        domains, sizes = _domains(interior, np.repeat(n, len(eps)))
+        kept = np.flatnonzero(~np.any(np.diff(domains, axis=1) <= 0, axis=1))
+        if kept.size:  # epsilon may push the knot past a neighbour
+            batch = _Batch(degree, kept.tolist(), np.repeat(t, kept.size, axis=0), np.repeat(counts, kept.size),
+                           domains[kept], sizes[kept], [eps[k] for k in kept.tolist()])
+            records.extend(_measure_degree(batch, 1, cfg.rank_tol))
     return TrialReport(cfg, records)

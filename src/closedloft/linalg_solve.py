@@ -42,6 +42,25 @@ class RankReport:
         return float(s[-1] / s[0]) if s.size and s[0] > 0 else 0.0
 
 
+def singular_value_rank(s, rel_tol, lengths=None):
+    """``(rank, largest, smallest, condition)`` from singular values in
+    descending order (LAPACK's) over the last axis, with leading stack axes
+    allowed.  With ``lengths``, row b of a 2-D ``s`` holds its first
+    lengths[b] >= 1 values and then zeros, which count for nothing.
+    """
+    if s.shape[-1] == 0:
+        top = bottom = np.zeros(s.shape[:-1])
+    else:
+        top = s[..., 0]
+        bottom = s[..., -1] if lengths is None else row_window(s, lengths - 1, 1)[:, 0]
+    live = top > 0.0  # a zero (or NaN) top singular value means rank 0
+    rank = np.where(live, np.sum(s > rel_tol * top[..., None], axis=-1), 0)
+    cond = np.full(top.shape, np.inf)
+    finite = live & (bottom > 0)
+    cond[finite] = top[finite] / bottom[finite]
+    return rank, top, bottom, cond
+
+
 def rank_report(matrix, rel_tol=1e-12):
     """Rank and condition estimate via singular values (LAPACK bidiagonalization).
 
@@ -51,15 +70,7 @@ def rank_report(matrix, rel_tol=1e-12):
     """
     m = np.asarray(matrix, dtype=float)
     s = np.linalg.svd(m, compute_uv=False)
-    if s.shape[-1] == 0:
-        top = bottom = np.zeros(s.shape[:-1])
-    else:
-        top, bottom = s[..., 0], s[..., -1]
-    live = top > 0.0  # a zero (or NaN) top singular value means rank 0
-    rank = np.where(live, np.sum(s > rel_tol * top[..., None], axis=-1), 0)
-    cond = np.full(top.shape, np.inf)
-    finite = live & (bottom > 0)
-    cond[finite] = top[finite] / bottom[finite]
+    rank, _top, _bottom, cond = singular_value_rank(s, rel_tol)
     if m.ndim == 2:
         return RankReport(int(rank), s, float(cond), rel_tol)
     return RankReport(rank, s, cond, rel_tol)

@@ -49,6 +49,7 @@ from .spline_core import (
     KnotVector,
     as_points,
     bbox_diagonal,
+    check_knot_multiplicities,
     clamp_closed_curve,
     clamped_knot_vector,
     cyclic_knot_vector,
@@ -214,6 +215,8 @@ def interpolate_all_row_points(rows, degree, per):
     for i, (r, t_row) in enumerate(zip(rows.rows, params)):
         with _row(i):
             out = interpolate_points_by_input_knots(r, t_row, threaded, degree, per)
+            # a knot group that overfills the row's own curve fails every refinement
+            check_knot_multiplicities(out.curve.knots.knots, degree)
         threaded = out.updated_input
         curves.append(out.curve)
         solve_params.append(out.solve_params.values)
@@ -246,19 +249,17 @@ def build_common_domain_knots(params, degree, per):
 
 def _column_parameters(net):
     """Chord parameters of the column control polygons, averaged across columns."""
-    m1, cols, _ = net.shape
-    acc = np.zeros(m1)
-    valid = 0
-    for j in range(cols):
-        chords = np.linalg.norm(np.diff(net[:, j], axis=0), axis=1)
-        total = chords.sum()
-        if total <= 0.0:
-            continue
-        acc += np.concatenate([[0.0], np.cumsum(chords)]) / total
-        valid += 1
-    if valid == 0:
+    m1 = net.shape[0]
+    # one contiguous row per column, so each column's chords are summed in
+    # the pairwise order of a sum over that column alone
+    chords = np.linalg.norm(np.diff(np.ascontiguousarray(net.transpose(1, 0, 2)), axis=1), axis=2)
+    total = chords.sum(axis=1)
+    valid = ~(total <= 0.0)
+    if not valid.any():
         return ParameterValues(np.linspace(0.0, 1.0, m1))
-    s = acc / valid
+    params = np.zeros((int(valid.sum()), m1))
+    params[:, 1:] = np.cumsum(chords[valid], axis=1) / total[valid, None]
+    s = params.sum(axis=0) / params.shape[0]  # column after column
     s[0], s[-1] = 0.0, 1.0
     if np.any(np.diff(s) <= 0.0):
         return ParameterValues(np.linspace(0.0, 1.0, m1))

@@ -148,7 +148,9 @@ def averaging_knots_open(params, degree):
     n = t.size - 1
     if n < p:
         raise InvalidInputError(f"need at least p+1 = {p + 1} parameters, got {n + 1}")
-    interior = np.array([t[i - p: i].mean() for i in range(p + 1, n + 1)])
+    # one window per row, each averaged in the order of its own mean
+    windows = np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(t, p)[1: n - p + 1])
+    interior = windows.mean(axis=1)
     return clamped_knot_vector(np.concatenate([[0.0], interior, [1.0]]), p)
 
 

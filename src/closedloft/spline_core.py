@@ -456,8 +456,8 @@ def clamp_closed_curve(curve):
     return BSplineCurve(KnotVector(knots, p, CLAMPED), ctrl)
 
 
-def _check_refined_multiplicities(knots, degree):
-    """Raise if a knot group of the refined vector exceeds its multiplicity.
+def check_knot_multiplicities(knots, degree):
+    """Raise if a knot group of a clamped knot vector exceeds its multiplicity.
 
     Groups are those of :func:`knot_multiplicities`; interior groups may hold
     at most ``degree`` knots and the two end groups exactly ``degree + 1``.
@@ -496,7 +496,7 @@ def refine_knots(curve, new_knots):
     p = curve.degree
     t = curve.knots.knots
     tau = np.sort(np.concatenate([t, add]))
-    _check_refined_multiplicities(tau, p)
+    check_knot_multiplicities(tau, p)
     n_new = tau.size - p - 1
     # tau_j < 1 for every new control point, so mu <= n_old - 1 and the
     # denominators t_{i+k} - t_i >= t_{mu+1} - t_mu are positive

@@ -751,6 +751,28 @@ def test_cmd_verify_conjecture2_report_is_pinned(tmp_path):
     assert digest == "47693f223d3895cfec8fd068e4101a43e86e053b0db75258010d8cee80d16771"
 
 
+@pytest.mark.parametrize("conjecture,t_law,d_law,pin", [
+    (1, conjecture_lab.LOGNORMAL_GAP, conjecture_lab.INSIDE,
+     "79c5d49a7f03d44957f7f93624a9b9b5a29f8e234794c3ff35e3dcf3fc30d96f"),
+    (1, conjecture_lab.LOGNORMAL_GAP, conjecture_lab.VIOLATING,
+     "21d27350bb24d5512cbbfa6a18ad20079fddeab22fcb5ee8200e39431e40b5cc"),
+    (1, conjecture_lab.UNIFORM_GAP, conjecture_lab.VIOLATING,
+     "26c8fddd33b2a292e1d72cfef26b5e813c331ebba0da02f1502f0f164205e788"),
+    (2, conjecture_lab.LOGNORMAL_GAP, conjecture_lab.INSIDE,
+     "7d4046f4554cb6b5d26e6ca4b3272324abdecf8dd9c41c683e02b322a9bf135b"),
+    (2, conjecture_lab.LOGNORMAL_GAP, conjecture_lab.VIOLATING,
+     "c2367f793392281da6385d5a3a8dd46112a3f09e7a20b9cf805077fe1936ac2b"),
+    (2, conjecture_lab.UNIFORM_GAP, conjecture_lab.VIOLATING,
+     "393fb9607aec7eade8ee8b18d702f61e054e774aaea0befd5cddc4d9ef9e2562"),
+])
+def test_sampling_law_reports_are_pinned(conjecture, t_law, d_law, pin):
+    # the laws the CLI has no flag for, at degrees 2-7, byte for byte
+    cfg = conjecture_lab.TrialConfig(conjecture=conjecture, degrees=(2, 3, 4, 5, 6, 7), trials=100,
+                                     seed=11, t_sampling=t_law, d_sampling=d_law)
+    run = conjecture_lab.run_conjecture1_trials if conjecture == 1 else conjecture_lab.run_conjecture2_trials
+    assert hashlib.sha256(cli_io.format_report(run(cfg)).encode()).hexdigest() == pin
+
+
 @pytest.mark.parametrize("argv,message", [
     (["--trials", "3", "--degrees", "5", "--n-range", "2:3"],
      "n_range upper bound must be >= max(degrees) + 1 = 6"),

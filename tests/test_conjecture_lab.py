@@ -1,3 +1,5 @@
+from typing import NamedTuple, Optional
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,116 @@ from closedloft import spline_core as sc
 from closedloft.errors import InvalidInputError
 
 from conftest import tube_rows
+
+
+# --- the per-trial oracle: each trial drawn alone, with its own arithmetic ---
+
+class _Draw(NamedTuple):
+    """One sampled configuration, before any measurement."""
+
+    degree: int
+    index: int
+    params: np.ndarray  # parity-form parameter values
+    domain: np.ndarray
+    epsilon: Optional[float] = None
+
+
+def _sample_parameters(rng, n, law):
+    """Unshifted parameter values t_0 = 0 < ... < t_n < 1."""
+    if law == lab.UNIFORM_GAP:
+        gaps = rng.uniform(0.05, 1.0, n + 1)
+    else:
+        gaps = np.exp(rng.normal(0.0, 1.0, n + 1))
+    gaps = gaps / gaps.sum()
+    gaps = np.maximum(gaps, 1e-4)
+    gaps = gaps / gaps.sum()
+    return np.concatenate([[0.0], np.cumsum(gaps[:-1])])
+
+
+def _sample_inside(rng, lo, hi):
+    width = hi - lo
+    delta = 1e-6 * width + 1e-9
+    return rng.uniform(lo + delta, hi - delta)
+
+
+def _parity_draw(rng, n, law, degree):
+    t = _sample_parameters(rng, n, law)
+    if degree % 2 == 0:
+        t = t + (1.0 - t[-1]) / 2.0
+    return (t,) + pk.bracket_bounds(t, degree)
+
+
+def _draw_conjecture1(cfg, degree, index):
+    rng = lab._trial_rng(cfg.seed, degree, index)
+    n = int(rng.integers(max(cfg.n_range[0], degree + 1), cfg.n_range[1] + 1))
+    t, lo, hi = _parity_draw(rng, n, cfg.t_sampling, degree)
+    interior = _sample_inside(rng, lo, hi)
+    if cfg.d_sampling == lab.VIOLATING:
+        j = int(rng.integers(1, n + 1))
+        upper = interior[j] if j < n else 1.0
+        interior[j - 1] = hi[j - 1] + rng.uniform(0.1, 0.9) * (upper - hi[j - 1])
+    return _Draw(degree, index, t, np.concatenate([[0.0], interior, [1.0]]))
+
+
+def _draw_conjecture2(cfg, degree, index):
+    rng = lab._trial_rng(cfg.seed, degree, index)
+    n = int(rng.integers(max(cfg.n_range[0], degree + 1), cfg.n_range[1] + 1))
+    extra = int(rng.integers(cfg.nhat_extra[0], cfg.nhat_extra[1] + 1))
+    t, lo, hi = _parity_draw(rng, n, cfg.t_sampling, degree)
+    if cfg.d_sampling == lab.VIOLATING:
+        interior = np.sort(rng.uniform(1e-4, lo[0] * 0.9, n + extra))
+    else:
+        witness = _sample_inside(rng, lo, hi)
+        distractors = rng.uniform(0.002, 0.998, extra)
+        keep = distractors[np.abs(witness[:, None] - distractors).min(axis=0) > 1e-5]
+        interior = np.sort(np.concatenate([witness, keep]))
+        tight = np.diff(interior) <= 1e-6
+        if np.any(tight):
+            interior = np.delete(interior, np.nonzero(tight)[0] + 1)
+    return _Draw(degree, index, t, np.concatenate([[0.0], interior, [1.0]]))
+
+
+def _stress_draws(cfg, degree, epsilons):
+    rng = lab._trial_rng(cfg.seed, degree, 0)
+    n = int(max((cfg.n_range[0] + cfg.n_range[1]) // 2, degree + 1))
+    t, lo, hi = _parity_draw(rng, n, cfg.t_sampling, degree)
+    mid = (lo + hi) / 2.0
+    draws = []
+    for k, e in enumerate(epsilons):
+        interior = mid.copy()
+        interior[n // 2] = lo[n // 2] + e
+        domain = np.concatenate([[0.0], interior, [1.0]])
+        if not np.any(np.diff(domain) <= 0):
+            draws.append(_Draw(degree, k, t, domain, e))
+    return draws
+
+
+def _oracle_draws(cfg, degree):
+    sample = _draw_conjecture1 if cfg.conjecture == 1 else _draw_conjecture2
+    return [sample(cfg, degree, i) for i in range(cfg.trials)]
+
+
+def _batch(draws):
+    """Per-trial draws of one degree as the padded batch the harness measures."""
+    def pad(rows, fill):
+        lengths = np.array([row.size for row in rows])
+        out = np.full((len(rows), lengths.max()), fill)
+        out[np.arange(out.shape[1]) < lengths[:, None]] = np.concatenate(rows)
+        return out, lengths
+
+    t, counts = pad([d.params for d in draws], 1.0)
+    domains, sizes = pad([d.domain for d in draws], np.inf)
+    epsilon = None if draws[0].epsilon is None else [d.epsilon for d in draws]
+    return lab._Batch(draws[0].degree, [d.index for d in draws], t, counts, domains, sizes, epsilon)
+
+
+def _rows(batch):
+    """The batch's rows as per-trial draws."""
+    epsilon = batch.epsilon or [None] * len(batch.index)
+    return [
+        _Draw(batch.degree, index, batch.params[b, :count], batch.domains[b, :size], eps)
+        for b, (index, count, size, eps) in enumerate(zip(batch.index, batch.counts, batch.sizes, epsilon))
+    ]
 
 
 def test_config_validation():
@@ -51,9 +163,9 @@ def test_folded_rank_is_stacked_rank_minus_degree_on_harness_draws(monkeypatch):
     draws = []
     measure = lab._measure_degree
 
-    def recording(trial_draws, conjecture, rank_tol):
-        records = measure(trial_draws, conjecture, rank_tol)
-        for draw, record in zip(trial_draws, records):
+    def recording(batch, conjecture, rank_tol):
+        records = measure(batch, conjecture, rank_tol)
+        for draw, record in zip(_rows(batch), records):
             parity = pk.ParameterValues(draw.params, shifted=draw.degree % 2 == 0)
             draws.append((parity, draw.domain, draw.degree, record.rank))
         return records
@@ -173,7 +285,7 @@ def test_boundary_stress_midpoint_recovers_interior():
     probe = lab.boundary_stress(cfg, [0.0])
     n = probe.records[0].n
     # reconstruct the half width of the stressed bracket
-    params = lab._sample_parameters(lab._trial_rng(cfg.seed, 3, 0), n, cfg.t_sampling)
+    params = _sample_parameters(lab._trial_rng(cfg.seed, 3, 0), n, cfg.t_sampling)
     lo, hi = pk.condition_brackets(pk.ParameterValues(params), 3)
     half = (hi[n // 2] - lo[n // 2]) / 2
     rep = lab.boundary_stress(cfg, [half])
@@ -193,18 +305,18 @@ def _harness_draws(degree, n, extra, count):
     """``count`` conjecture-2 draws of the harness with n and n̂ = n + extra,
     then ``count`` draws of the same degree and other sizes."""
     cfg = lab.TrialConfig(conjecture=2, degrees=(degree,), n_range=(n, n), nhat_extra=(extra, extra))
-    draws = [lab._draw_conjecture2(cfg, degree, i) for i in range(4 * count)]
+    draws = [_draw_conjecture2(cfg, degree, i) for i in range(4 * count)]
     draws = [d for d in draws if d.domain.size - 2 == n + extra][:count]
     assert len(draws) == count
     mixed = lab.TrialConfig(conjecture=2, degrees=(degree,), n_range=(degree + 1, 40), nhat_extra=(0, 10))
-    return draws + [lab._draw_conjecture2(mixed, degree, i) for i in range(count)]
+    return draws + [_draw_conjecture2(mixed, degree, i) for i in range(count)]
 
 
 def _padded_batch(draws, degree):
-    t, counts = lab._padded([d.params for d in draws], 1.0)
-    domains, sizes = lab._padded([d.domain for d in draws], np.inf)
-    params = pk.ParameterValues(t, shifted=degree % 2 == 0, lengths=counts)
-    return la.assemble_closed_system(params, sc.cyclic_knot_vector(domains, degree, sizes), sizes - 2)
+    batch = _batch(draws)
+    params = pk.ParameterValues(batch.params, shifted=degree % 2 == 0, lengths=batch.counts)
+    kv = sc.cyclic_knot_vector(batch.domains, degree, batch.sizes)
+    return la.assemble_closed_system(params, kv, batch.sizes - 2)
 
 
 @pytest.mark.parametrize("degree,n,extra", [(2, 6, 0), (3, 17, 0), (4, 40, 0), (5, 23, 7), (3, 9, 10)])
@@ -242,7 +354,7 @@ def mixed_batches(draw):
         t_sampling=draw(st.sampled_from([lab.UNIFORM_GAP, lab.LOGNORMAL_GAP])),
         d_sampling=draw(st.sampled_from([lab.INSIDE, lab.VIOLATING])),
     )
-    sample = lab._draw_conjecture1 if conjecture == 1 else lab._draw_conjecture2
+    sample = _draw_conjecture1 if conjecture == 1 else _draw_conjecture2
     count = draw(st.integers(1, 12))
     draws = [sample(cfg, degree, i) for i in range(count)]
     return conjecture, draws, draw(st.none() | st.integers(0, count - 1))
@@ -279,17 +391,16 @@ def test_padded_pass_equals_one_draw_at_a_time(case):
     conjecture, draws, failing = case
     alone = [_alone(d, conjecture, 1e-12) for d in draws]
     poisoned = None if failing is None else alone[failing][0].tobytes()
-    real = lab.rank_report
+    real = np.linalg.svd
 
-    def flaky(matrices, rel_tol):
-        stack = matrices.reshape((-1,) + matrices.shape[-2:])
-        if any(m.tobytes() == poisoned for m in stack):
+    def flaky(a, *args, **kwargs):
+        if any(m.tobytes() == poisoned for m in a.reshape((-1,) + a.shape[-2:])):
             raise np.linalg.LinAlgError("SVD did not converge")
-        return real(matrices, rel_tol)
+        return real(a, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lab, "rank_report", flaky)
-        records = lab._measure_degree(draws, conjecture, 1e-12)
+        mp.setattr(np.linalg, "svd", flaky)
+        records = lab._measure_degree(_batch(draws), conjecture, 1e-12)
     for b, ((_matrix, one), record) in enumerate(zip(alone, records)):
         if b != failing:
             assert record == one
@@ -333,16 +444,16 @@ def test_stacked_rank_report_edge_rows():
 def test_failed_stacked_svd_is_redone_one_matrix_at_a_time(monkeypatch):
     cfg = lab.TrialConfig(trials=40, seed=12, degrees=(3,), n_range=(6, 9))
     clean = lab.run_conjecture1_trials(cfg).records
-    real = lab.rank_report
+    real = np.linalg.svd
     calls = []
 
-    def flaky(matrix, rel_tol):
-        calls.append(np.ndim(matrix))
-        if np.ndim(matrix) == 3 or calls.count(2) == 2:  # every stack, and one single matrix
+    def flaky(a, *args, **kwargs):
+        calls.append(np.ndim(a))
+        if np.ndim(a) == 3 or calls.count(2) == 2:  # every stack, and one single matrix
             raise np.linalg.LinAlgError("SVD did not converge")
-        return real(matrix, rel_tol)
+        return real(a, *args, **kwargs)
 
-    monkeypatch.setattr(lab, "rank_report", flaky)
+    monkeypatch.setattr(np.linalg, "svd", flaky)
     records = lab.run_conjecture1_trials(cfg).records
     assert calls.count(2) == len(records) == len(clean)  # each matrix redone once
     changed = [(a, b) for a, b in zip(clean, records) if a != b]
@@ -352,3 +463,70 @@ def test_failed_stacked_svd_is_redone_one_matrix_at_a_time(monkeypatch):
     assert np.isnan(after.sigma_max)
     assert (after.degree, after.index, after.n, after.condition) == (
         before.degree, before.index, before.n, before.condition)
+
+
+# --- the padded draw: each trial's generator calls, one numpy pass per degree ---
+
+@st.composite
+def trial_configs(draw):
+    """A one-degree plan under any sampling law, with small or large n."""
+    degree = draw(st.integers(2, 7))
+    top = 14 if draw(st.booleans()) else 140
+    lo = draw(st.integers(degree + 1, top))
+    return lab.TrialConfig(
+        conjecture=draw(st.sampled_from([1, 2])), degrees=(degree,),
+        n_range=(lo, draw(st.integers(lo, top))), nhat_extra=draw(st.sampled_from([(0, 0), (1, 10)])),
+        trials=draw(st.integers(1, 30)), seed=draw(st.integers(0, 2**32 - 1)),
+        t_sampling=draw(st.sampled_from([lab.UNIFORM_GAP, lab.LOGNORMAL_GAP])),
+        d_sampling=draw(st.sampled_from([lab.INSIDE, lab.VIOLATING])),
+    )
+
+
+@settings(deadline=None, max_examples=120)
+@given(trial_configs())
+def test_padded_draw_equals_per_trial_oracle(cfg):
+    degree = cfg.degrees[0]
+    padded_draw = lab._draw_conjecture1 if cfg.conjecture == 1 else lab._draw_conjecture2
+    try:
+        oracle = _batch(_oracle_draws(cfg, degree))
+    except ValueError:  # a trial's uniform(1e-4, 0.9·lo_0) with 0.9·lo_0 < 1e-4
+        with pytest.raises(ValueError, match="high - low < 0"):
+            padded_draw(cfg, degree)
+        return
+    batch = padded_draw(cfg, degree)
+    assert (batch.degree, batch.index, batch.epsilon) == (degree, oracle.index, None)
+    for got, want in zip(batch[2:6], oracle[2:6]):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("law", [lab.UNIFORM_GAP, lab.LOGNORMAL_GAP])
+def test_boundary_stress_equals_per_trial_oracle(law):
+    ladder = [0.3, 0.01, 1e-4, 1e-9, 0.0]
+    cfg = lab.TrialConfig(trials=1, seed=31, degrees=(2, 3, 4, 5, 6, 7), t_sampling=law)
+    alone = [_alone(d, 1, cfg.rank_tol)[1] for p in cfg.degrees for d in _stress_draws(cfg, p, ladder)]
+    assert lab.boundary_stress(cfg, ladder).records == alone
+    assert len(alone) < len(ladder) * len(cfg.degrees)  # 0.3 passes a neighbour
+    assert lab.boundary_stress(cfg, []).records == []
+
+
+@pytest.mark.parametrize("conjecture", [1, 2])
+def test_run_builds_one_generator_per_trial_and_one_svd_per_shape(monkeypatch, conjecture):
+    streams, svd_shapes = [], []
+    trial_rng, svd = lab._trial_rng, np.linalg.svd
+
+    def counting_rng(seed, degree, index):
+        streams.append((degree, index))
+        return trial_rng(seed, degree, index)
+
+    def counting_svd(a, *args, **kwargs):
+        svd_shapes.append(np.shape(a)[-2:])
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(lab, "_trial_rng", counting_rng)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    cfg = lab.TrialConfig(conjecture=conjecture, trials=60, seed=8)
+    run = lab.run_conjecture1_trials if conjecture == 1 else lab.run_conjecture2_trials
+    records = run(cfg).records
+    assert streams == [(p, i) for p in cfg.degrees for i in range(cfg.trials)]
+    shapes = {(r.degree, r.n + 1 + r.degree, r.nhat + r.degree + 1) for r in records}
+    assert len(svd_shapes) == len(shapes) < len(records)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from closedloft import curve_interp as ci
 from closedloft import linalg_solve as la
@@ -364,6 +365,18 @@ def test_short_wrap_chord_that_raises_t_n_still_lofts():
     lf.loft_closed_park(rows, 3, 3, 1.0, align="none")  # checks its own residuals
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("per", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("offset", [1e-15, 1e-14])
+def test_short_wrap_chord_that_overfills_the_end_knot_names_the_row(offset, per):
+    # t_n rises, but the row's own clamped knots end in a group of p + 2,
+    # which every refinement to the common vector would keep
+    rows = [circle_points(16, z=float(i)) for i in range(5)]
+    rows[2][15] = rows[2][0] + [0.0, offset, 0.0]
+    with pytest.raises(InvalidInputError, match=r"^row 2: refinement would give knot 0\.99999999999999\d* multiplicity 5"):
+        lf.loft_closed_piegl(rows, 3, 3, per, align="none")
+
+
 def test_loft_rejects_undersized_rows():
     rows = [circle_points(16), circle_points(4), circle_points(16)]
     with pytest.raises(InvalidInputError, match="row 1"):
@@ -423,3 +436,38 @@ def test_loft_open_names_a_row_too_short_for_the_degree():
     rows[2] = rows[2][:3]
     with pytest.raises(InvalidInputError, match="^row 2: need at least p\\+1 = 4 parameters, got 3$"):
         lf.loft_open(rows, 3, 3)
+
+
+# --- longitudinal parameters ---
+
+def column_parameters_loop(net):
+    """The averaged column chord parameters, one column at a time."""
+    m1, cols, _ = net.shape
+    acc = np.zeros(m1)
+    valid = 0
+    for j in range(cols):
+        chords = np.linalg.norm(np.diff(net[:, j], axis=0), axis=1)
+        total = chords.sum()
+        if total <= 0.0:
+            continue
+        acc += np.concatenate([[0.0], np.cumsum(chords)]) / total
+        valid += 1
+    if valid == 0:
+        return np.linspace(0.0, 1.0, m1)
+    s = acc / valid
+    s[0], s[-1] = 0.0, 1.0
+    if np.any(np.diff(s) <= 0.0):
+        return np.linspace(0.0, 1.0, m1)
+    return s
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 70), st.integers(1, 90), st.integers(0, 3), st.integers(0, 2**32 - 1))
+def test_column_parameters_equal_the_per_column_loop(m1, cols, flat, seed):
+    # rows of a random net; up to three columns flattened to one point, so
+    # they are skipped, and a net whose columns are all flat
+    rng = np.random.default_rng(seed)
+    net = np.cumsum(rng.normal(size=(m1, cols, 3)) * np.exp(rng.normal(0.0, 2.0, (m1, 1, 1))), axis=0)
+    net[:, rng.integers(0, cols, flat)] = net[:1, rng.integers(0, cols, flat)]
+    for case in (net, np.broadcast_to(net[:1], net.shape)):
+        assert lf._column_parameters(case).values.tobytes() == column_parameters_loop(case).tobytes()

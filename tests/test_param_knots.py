@@ -110,6 +110,21 @@ def test_averaging_knots_uniform_symmetry():
     np.testing.assert_allclose(np.diff(interior), np.diff(interior)[0])
 
 
+def averaging_knots_loop(t, p):
+    """The averaged interior knots, one ``mean`` per knot."""
+    return np.array([t[i - p: i].mean() for i in range(p + 1, t.size)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 300), st.floats(0.0, 4.0), st.integers(0, 2**32 - 1))
+def test_averaging_knots_equal_the_per_knot_loop(p, extra, sigma, seed):
+    gaps = np.exp(np.random.default_rng(seed).normal(0.0, sigma, p + extra))
+    t = np.concatenate([[0.0], np.cumsum(gaps) / gaps.sum()])
+    t[-1] = 1.0
+    kv = pk.averaging_knots_open(pk.ParameterValues(t), p)
+    assert kv.knots[p + 1: kv.knots.size - p - 1].tobytes() == averaging_knots_loop(t, p).tobytes()
+
+
 def test_averaging_knots_too_few_points():
     with pytest.raises(InvalidInputError):
         pk.averaging_knots_open(pk.ParameterValues(np.array([0, 1.0])), 3)
