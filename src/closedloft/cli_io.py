@@ -34,6 +34,7 @@ import itertools
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -672,14 +673,6 @@ def cmd_interp_curve(args):
         params = closed_parameters(points)
         domain, solve_params = closed_knots(params, args.knot_method, args.degree)
         problem = ClosedInterpolationProblem(points, solve_params, domain, args.degree)
-        if not problem.parity_ok:
-            print(
-                f"warning: --knot-method {args.knot_method} with even degree "
-                f"{args.degree} may yield an ill-conditioned system" if args.degree % 2 == 0
-                else f"warning: --knot-method {args.knot_method} with odd degree "
-                f"{args.degree} breaks the parameter parity contract",
-                file=sys.stderr,
-            )
         res = interpolate_closed_square(problem)
         doc = _curve_payload(res.curve, res.max_residual, res.condition_ok, extra)
     text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
@@ -740,6 +733,18 @@ def cmd_verify_conjectures(args):
     return EXIT_COUNTEREXAMPLE if total_cex else EXIT_OK
 
 
+_python_showwarning = warnings.showwarning
+
+
+def _show_warning(message, category, *rest):
+    """A RuntimeWarning as one ``closedloft: warning:`` line; any other
+    warning as Python shows it."""
+    if issubclass(category, RuntimeWarning):
+        print(f"closedloft: warning: {message}", file=sys.stderr)
+    else:
+        _python_showwarning(message, category, *rest)
+
+
 def main(argv=None):
     parser = build_parser()
     try:
@@ -747,11 +752,14 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "loft":
-            return cmd_loft(args)
-        if args.command == "interp-curve":
-            return cmd_interp_curve(args)
-        return cmd_verify_conjectures(args)
+        with warnings.catch_warnings():
+            warnings.simplefilter("default", RuntimeWarning)
+            warnings.showwarning = _show_warning
+            if args.command == "loft":
+                return cmd_loft(args)
+            if args.command == "interp-curve":
+                return cmd_interp_curve(args)
+            return cmd_verify_conjectures(args)
     except _UsageError as exc:
         print(f"closedloft: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

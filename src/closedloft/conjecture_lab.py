@@ -270,10 +270,10 @@ def _draw_conjecture2(cfg, degree):
     t, counts, lo, hi = _parity_draws(rngs, n, cfg.t_sampling, degree)
     if cfg.d_sampling == VIOLATING:
         # every interior knot below the first bracket: no feasible subsequence
+        # from (1e-4, 0.9·lo_0), or (0.45·lo_0, 0.9·lo_0) where 0.9·lo_0 < 1e-4
         count = n + extra
-        low, high = 1e-4, lo[:, :1] * 0.9
-        if (high < low).any():  # as uniform(low, high) refuses
-            raise ValueError("high - low < 0")
+        high = lo[:, :1] * 0.9
+        low = np.where(high < 1e-4, 0.5 * high, 1e-4)
         interior = low + (high - low) * _randoms(rngs, count)
         interior[~row_prefix(count, interior.shape[1])] = np.inf
         interior.sort(axis=1)

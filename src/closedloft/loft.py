@@ -2,15 +2,17 @@
 
 Two closed pipelines are provided.  The knot-reuse path interpolates each
 row against a threaded input knot vector so rows share as many knots as
-possible, then refines all rows to their merged common knot vector.  The
-common-knots path first builds one set of domain knots feasible for every
-row, solves each row on that shared cyclic knot vector (by energy
-minimization when under-determined), and clamps once; no refinement is
-needed because the rows are compatible by construction.  Both finish by
-interpolating the columns of row control points with open curves.
+possible.  The common-knots path first builds one set of domain knots
+feasible for every row, solves each row on that shared cyclic knot vector
+(by energy minimization when under-determined), and clamps it; the rows are
+compatible by construction.  An open-section pipeline (per-row averaging
+knots) serves as the traditional baseline.
 
-An open-section pipeline (per-row averaging knots, merge, refine) serves as
-the traditional baseline.
+All three end in one shared step, :func:`_loft`: refine the clamped row
+curves to the merge of their knot vectors (skipped when the caller passes
+the knot vector they already share, as the common-knots path does),
+interpolate the columns of row control points with open curves, and check
+that the surface passes through every row point.
 """
 
 from contextlib import contextmanager
@@ -44,7 +46,6 @@ from .param_knots import (
     parity_form,
 )
 from .spline_core import (
-    BSplineCurve,
     BSplineSurface,
     KnotVector,
     as_points,
@@ -175,43 +176,23 @@ def _averaged_max_row_parameters(params):
     return ParameterValues(np.mean([t.values for t in params if t.n == n_max], axis=0))
 
 
-@dataclass
-class RowCurves:
-    """Compatible clamped row curves over one common knot vector."""
-
-    curves: List[BSplineCurve]
-    common: KnotVector
-    solve_params: List[np.ndarray]
-    residuals: List[float]
-
-
-def _make_compatible(curve, common):
-    refined = refine_knots(curve, missing_knots(common, curve.knots))
-    if refined.knots.size != common.size or np.abs(
-        refined.knots.knots - common.knots
-    ).max() > 10 * 1e-10:
-        raise ClosedLoftError("knot refinement failed to reach the common knot vector")
-    # adopt the shared array so all curves compare knot-identical
-    return BSplineCurve(common, refined.control_points)
-
-
 def interpolate_all_row_points(rows, degree, per):
-    """Interpolate every row against a threaded knot vector and make the
-    resulting clamped curves compatible.
+    """Interpolate every row against a threaded knot vector; returns each
+    row's clamped curve, not yet refined to a common knot vector, and its
+    solve parameters.
 
     The seed vector is the :func:`parity_form` anchors of the averaged
     parameters of the largest rows (natural knots for odd degree, shifting
     knots for even), and that call checks ``per``; each row's selections
-    are merged back so later rows reuse earlier knots.  The common knot
-    vector is the merge of the rows' clamped knot vectors.  The rows are
-    taken as given: a loft validates and aligns them first.
+    are merged back so later rows reuse earlier knots.  The rows are taken
+    as given: a loft validates and aligns them first.
     """
     rows = as_contour_rows(rows)
     params = _row_parameters(rows.rows)
     seed_domain = parity_form(_averaged_max_row_parameters(params), degree, per)[0]
     threaded = clamped_knot_vector(seed_domain, degree)
 
-    curves, solve_params, residuals = [], [], []
+    curves, solve_params = [], []
     for i, (r, t_row) in enumerate(zip(rows.rows, params)):
         with _row(i):
             out = interpolate_points_by_input_knots(r, t_row, threaded, degree, per)
@@ -220,11 +201,7 @@ def interpolate_all_row_points(rows, degree, per):
         threaded = out.updated_input
         curves.append(out.curve)
         solve_params.append(out.solve_params.values)
-        residuals.append(out.result.max_residual)
-
-    common = reduce(merge_knot_vectors, (c.knots for c in curves))
-    compatible = [_make_compatible(c, common) for c in curves]
-    return RowCurves(compatible, common, solve_params, residuals)
+    return curves, solve_params
 
 
 def build_common_domain_knots(params, degree, per):
@@ -293,7 +270,6 @@ class LoftResult:
     common_knots: KnotVector
     longitudinal_params: np.ndarray
     row_params: List[np.ndarray]
-    row_residuals: List[float]
     max_surface_residual: float
     method: str
     per: Optional[float] = None
@@ -308,32 +284,40 @@ class LoftResult:
         return self.common_knots.interior_count()
 
 
-def _assemble_and_check(rows, row_curves, degree_u, method, per, closed):
-    net_rows = np.stack([c.control_points for c in row_curves.curves])
-    control_net, kv_u, s = _interpolate_columns(net_rows, degree_u)
-    surface = BSplineSurface(kv_u, row_curves.common, control_net, closed_v=closed)
+def _loft(rows, degree_u, method, per, curves, solve_params, common=None):
+    """The step every pipeline ends with: make the clamped row curves
+    compatible, interpolate the columns of their control points and check
+    that the surface passes through every row point.
+
+    Unless ``common`` is the knot vector the curves already share, each
+    curve is refined to the merge of their knot vectors.
+    """
+    if common is None:
+        common = reduce(merge_knot_vectors, (c.knots for c in curves))
+        curves = [refine_knots(c, missing_knots(common, c.knots)) for c in curves]
+        for c in curves:
+            if c.knots.size != common.size or np.abs(c.knots.knots - common.knots).max() > 1e-9:
+                raise ClosedLoftError("knot refinement failed to reach the common knot vector")
+    control_net, kv_u, s = _interpolate_columns(np.stack([c.control_points for c in curves]), degree_u)
+    surface = BSplineSurface(kv_u, common, control_net, closed_v=method != "open")
     scale = max(bbox_diagonal(np.vstack(rows.rows)), 1e-30)
     # every row's points in one evaluation: row i at u = s_i
-    us = np.repeat(s.values, [t.size for t in row_curves.solve_params])
-    pts = eval_surface(surface, us, np.concatenate(row_curves.solve_params))
+    us = np.repeat(s.values, [t.size for t in solve_params])
+    pts = eval_surface(surface, us, np.concatenate(solve_params))
     worst = float(np.linalg.norm(pts - np.concatenate(rows.rows), axis=1).max())
     if worst > SURFACE_RESIDUAL_TOL * scale:
         raise ClosedLoftError(
             f"surface residual {worst:.3e} exceeds {SURFACE_RESIDUAL_TOL:.0e} "
             "of the bounding-box diagonal"
         )
-    return LoftResult(
-        surface, row_curves.common, s.values,
-        [t.copy() for t in row_curves.solve_params], row_curves.residuals,
-        worst, method, per, rows,
-    )
+    return LoftResult(surface, common, s.values, solve_params, worst, method, per, rows)
 
 
 def loft_closed_piegl(rows, degree_u, degree_v, per, align="auto"):
     """Closed lofting via per-row knot reuse, clamping and refinement."""
     rows = _prepare(rows, degree_v, align)
-    row_curves = interpolate_all_row_points(rows, degree_v, per)
-    return _assemble_and_check(rows, row_curves, degree_u, "piegl", per, closed=True)
+    curves, solve_params = interpolate_all_row_points(rows, degree_v, per)
+    return _loft(rows, degree_u, "piegl", per, curves, solve_params)
 
 
 def park_bend_weight(degree_v, beta):
@@ -355,8 +339,7 @@ def loft_closed_park(rows, degree_u, degree_v, per, alpha=1.0, beta=0.2, align="
     params = _row_parameters(rows.rows)
     common_domain = build_common_domain_knots(params, degree_v, per)
     stiff = None
-    curves, solve_params, residuals = [], [], []
-    common = None
+    curves, solve_params = [], []
     for i, (r, t_row) in enumerate(zip(rows.rows, params)):
         with _row(i):
             t_solve = parity_form(t_row, degree_v)[1]
@@ -368,33 +351,21 @@ def loft_closed_park(rows, degree_u, degree_v, per, alpha=1.0, beta=0.2, align="
                 res = interpolate_closed_energy(problem, stiff)
             else:
                 res = interpolate_closed_square(problem)
-            clamped = clamp_closed_curve(res.curve)
-        if common is None:
-            common = clamped.knots
-        else:
-            # all rows share the cyclic knot vector, so the clamped one too
-            clamped = BSplineCurve(common, clamped.control_points)
-        curves.append(clamped)
+            curves.append(clamp_closed_curve(res.curve))
         solve_params.append(t_solve.values)
-        residuals.append(res.max_residual)
-    row_curves = RowCurves(curves, common, solve_params, residuals)
-    return _assemble_and_check(rows, row_curves, degree_u, "park", per, closed=True)
+    # all rows share the cyclic knot vector, so the clamped one too
+    return _loft(rows, degree_u, "park", per, curves, solve_params, common=curves[0].knots)
 
 
 def loft_open(rows, degree_u, degree_v):
-    """Traditional open-section lofting: averaging knots per row, merge,
-    refine, then column interpolation."""
+    """Traditional open-section lofting: averaging knots per row, then the
+    shared merge, refinement and column interpolation."""
     rows = as_contour_rows(rows)
-    curves, params, residuals = [], [], []
+    curves, params = [], []
     for i, r in enumerate(rows.rows):
         with _row(i):
             t_row = open_parameters(r)
             kv = averaging_knots_open(t_row, degree_v)
-            res = interpolate_open(r, t_row, kv)
-        curves.append(res.curve)
+            curves.append(interpolate_open(r, t_row, kv).curve)
         params.append(t_row.values)
-        residuals.append(res.max_residual)
-    common = reduce(merge_knot_vectors, (c.knots for c in curves))
-    compatible = [_make_compatible(c, common) for c in curves]
-    row_curves = RowCurves(compatible, common, params, residuals)
-    return _assemble_and_check(rows, row_curves, degree_u, "open", None, closed=False)
+    return _loft(rows, degree_u, "open", None, curves, params)

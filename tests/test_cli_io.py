@@ -565,7 +565,6 @@ def test_cmd_interp_curve_square_natural(tmp_path):
     assert doc["kind"] == "closed"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cmd_interp_curve_even_natural_warns(tmp_path):
     pts = circle_points(12) + np.random.default_rng(5).normal(scale=0.08, size=(12, 3))
     inp = _write(
@@ -574,8 +573,16 @@ def test_cmd_interp_curve_even_natural_warns(tmp_path):
     code, stdout, err = _run(
         ["interp-curve", "--input", inp, "--closed", "--degree", "4", "--knot-method", "natural"]
     )
-    assert "warning" in err.lower() or "warn" in err.lower()
+    warnings = [line for line in err.splitlines() if "warn" in line.lower()]
+    assert len(warnings) == 1 and warnings[0].startswith("closedloft: warning: degree-4 ")
     assert code in (0, 2)  # ill-conditioned; may solve or fail with diagnostics
+
+
+def test_cmd_interp_curve_odd_natural_does_not_warn(tmp_path):
+    inp = _write(tmp_path, "c12.json", json.dumps({"version": 1, "rows": [circle_points(12).tolist()]}))
+    code, _, err = _run(["interp-curve", "--input", inp, "--closed", "--degree", "3", "--knot-method", "natural"])
+    assert code == 0
+    assert "warn" not in err.lower()
 
 
 def test_cmd_interp_curve_averaging_circle(tmp_path):

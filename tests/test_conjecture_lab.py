@@ -70,7 +70,8 @@ def _draw_conjecture2(cfg, degree, index):
     extra = int(rng.integers(cfg.nhat_extra[0], cfg.nhat_extra[1] + 1))
     t, lo, hi = _parity_draw(rng, n, cfg.t_sampling, degree)
     if cfg.d_sampling == lab.VIOLATING:
-        interior = np.sort(rng.uniform(1e-4, lo[0] * 0.9, n + extra))
+        high = lo[0] * 0.9
+        interior = np.sort(rng.uniform(0.5 * high if high < 1e-4 else 1e-4, high, n + extra))
     else:
         witness = _sample_inside(rng, lo, hi)
         distractors = rng.uniform(0.002, 0.998, extra)
@@ -487,16 +488,23 @@ def trial_configs(draw):
 def test_padded_draw_equals_per_trial_oracle(cfg):
     degree = cfg.degrees[0]
     padded_draw = lab._draw_conjecture1 if cfg.conjecture == 1 else lab._draw_conjecture2
-    try:
-        oracle = _batch(_oracle_draws(cfg, degree))
-    except ValueError:  # a trial's uniform(1e-4, 0.9·lo_0) with 0.9·lo_0 < 1e-4
-        with pytest.raises(ValueError, match="high - low < 0"):
-            padded_draw(cfg, degree)
-        return
+    oracle = _batch(_oracle_draws(cfg, degree))
     batch = padded_draw(cfg, degree)
     assert (batch.degree, batch.index, batch.epsilon) == (degree, oracle.index, None)
     for got, want in zip(batch[2:6], oracle[2:6]):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_violating_knots_fit_below_a_first_bracket_under_1e_4():
+    # the last trial's 0.9·lo_0 is below 1e-4, so its knots come from (0.45·lo_0, 0.9·lo_0)
+    cfg = lab.TrialConfig(conjecture=2, degrees=(3,), trials=15213, seed=3,
+                          t_sampling=lab.LOGNORMAL_GAP, d_sampling=lab.VIOLATING)
+    last = _draw_conjecture2(cfg, 3, cfg.trials - 1)
+    lo0 = pk.bracket_bounds(last.params, 3)[0][0]
+    assert 0.45 * lo0 <= last.domain[1] and last.domain[-2] < 0.9 * lo0 < 1e-4
+    records = lab.run_conjecture2_trials(cfg).records
+    assert len(records) == cfg.trials and not any(r.condition for r in records)
+    assert records[-1] == _alone(last, 2, cfg.rank_tol)[1]
 
 
 @pytest.mark.parametrize("law", [lab.UNIFORM_GAP, lab.LOGNORMAL_GAP])

@@ -1,3 +1,6 @@
+import hashlib
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +10,7 @@ from closedloft import linalg_solve as la
 from closedloft import loft as lf
 from closedloft import param_knots as pk
 from closedloft import spline_core as sc
+from closedloft.cli_io import SurfaceFile, serialize_surface
 from closedloft.errors import InvalidInputError
 
 from conftest import circle_points, energy_stiffness, expanded, tube_rows
@@ -81,30 +85,67 @@ def test_align_rejects_degenerate_row():
 
 # --- row interpolation against the threaded knot vector ---
 
+def _merged(curves):
+    return reduce(sc.merge_knot_vectors, (c.knots for c in curves))
+
+
 def test_single_row_common_vector_is_its_own():
     rows = lf.ContourRows([circle_points(12)], aligned=True)
-    rc = lf.interpolate_all_row_points(rows, 3, 1.0)
-    assert len(rc.curves) == 1
-    assert rc.curves[0].knots == rc.common
+    curves, _ = lf.interpolate_all_row_points(rows, 3, 1.0)
+    assert len(curves) == 1
+    assert curves[0].knots == _merged(curves)
 
 
 def test_identical_rows_do_not_grow_common_vector():
     rows = lf.ContourRows([circle_points(16, z=float(i)) for i in range(4)], aligned=True)
-    rc = lf.interpolate_all_row_points(rows, 3, 1.0)
-    single = lf.interpolate_all_row_points(
+    curves, _ = lf.interpolate_all_row_points(rows, 3, 1.0)
+    single, _ = lf.interpolate_all_row_points(
         lf.ContourRows([circle_points(16)], aligned=True), 3, 1.0
     )
-    assert rc.common.interior_count() == single.common.interior_count()
-    for c in rc.curves:
-        assert c.knots == rc.common
+    common = lf.loft_closed_piegl(rows, 3, 3, 1.0).common_knots
+    assert common.interior_count() == _merged(single).interior_count()
+    for c in curves:
+        assert c.knots == common
 
 
 def test_per_one_beats_traditional_on_mixed_rows():
     rows = [circle_points(n, z=0.1 * i) for i, n in enumerate([16, 20, 24])]
     crows = lf.ContourRows(rows, aligned=True)
-    flexible = lf.interpolate_all_row_points(crows, 3, 1.0)
-    traditional = lf.interpolate_all_row_points(crows, 3, 0.0)
-    assert flexible.common.interior_count() < traditional.common.interior_count()
+    flexible, _ = lf.interpolate_all_row_points(crows, 3, 1.0)
+    traditional, _ = lf.interpolate_all_row_points(crows, 3, 0.0)
+    assert _merged(flexible).interior_count() < _merged(traditional).interior_count()
+
+
+def test_park_lofts_without_merge_or_refinement(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("park rows share one knot vector")
+
+    for name in ("merge_knot_vectors", "missing_knots", "refine_knots"):
+        monkeypatch.setattr(lf, name, refuse)
+    result = lf.loft_closed_park(tube_rows(6, seed=12), 3, 3, 0.5)
+    assert result.surface.knots_v is result.common_knots
+
+
+@pytest.mark.parametrize("loft", [
+    lambda rows: lf.loft_closed_piegl(rows, 3, 3, 0.5),
+    lambda rows: lf.loft_open(rows, 3, 3),
+])
+def test_refined_lofts_give_every_row_over_the_common_vector(loft, monkeypatch):
+    refined = []
+    refine = lf.refine_knots
+
+    def recording(curve, knots):
+        refined.append(refine(curve, knots))
+        return refined[-1]
+
+    monkeypatch.setattr(lf, "refine_knots", recording)
+    rows = tube_rows(6, seed=12)
+    result = loft(rows)
+    assert result.surface.knots_v is result.common_knots
+    assert len(refined) == len(rows)
+    for c in refined:  # refinement may move a knot by rounding
+        assert c.knots.knots.shape == result.common_knots.knots.shape
+        np.testing.assert_allclose(c.knots.knots, result.common_knots.knots, rtol=0, atol=1e-9)
 
 
 # --- Procedure 5 ---
@@ -185,8 +226,6 @@ def test_per_zero_matches_traditional_merge_exactly():
     rows = tube_rows(8, seed=3)
     result = lf.loft_closed_piegl(rows, 3, 3, 0.0)
     aligned = lf.align_contours(lf.as_contour_rows(rows))
-    from functools import reduce
-
     kvs = []
     for r in aligned.rows:
         t = pk.closed_parameters(r)
@@ -194,6 +233,32 @@ def test_per_zero_matches_traditional_merge_exactly():
         kvs.append(sc.clamped_knot_vector(domain, 3))
     traditional = reduce(sc.merge_knot_vectors, kvs)
     assert result.interior_knot_count == traditional.interior_count()
+
+
+# SHA-256 of each surface document with an empty provenance block, for
+# tube_rows(6, (10, 17), seed=11, noisy_radius=True) at degree 3 x 3
+_SURFACE_DIGESTS = {
+    ("piegl", 0.0): "dab8f89b6c1b07ef3c43fd97ff52aa5851540e6975904992735430298fcc64de",
+    ("piegl", 0.5): "bd56dbfc002d8200616313f3c89cd7aa2e020b960c1291f068b34bef9d99f1e3",
+    ("piegl", 1.0): "92ffef0352513945803418fe1f455e3a0d13e5cd674893fc18fe3fb181d91b4f",
+    ("park", 0.0): "b92243c76e8a330fbd178d2bf97741bee799c14974a07bfd24c28375d797360f",
+    ("park", 0.5): "b80f27b1cb101a4dea9bf1091ce5da57c90829fa19fda7c3f0f50498c851ada0",
+    ("park", 1.0): "e2c7b8aceab3dc977973d4571dde51ded221615a25ec48c2321d0cea4bce2f18",
+    ("open", None): "3f2c06a1bb0b59412bf262321fc8c4489d6f043b96a49d9463f4ad8681ca99b7",
+}
+
+
+@pytest.mark.parametrize("method, per", list(_SURFACE_DIGESTS))
+def test_loft_surfaces_are_pinned(method, per):
+    rows = tube_rows(6, (10, 17), seed=11, noisy_radius=True)
+    if method == "piegl":
+        result = lf.loft_closed_piegl(rows, 3, 3, per)
+    elif method == "park":
+        result = lf.loft_closed_park(rows, 3, 3, per)
+    else:
+        result = lf.loft_open(rows, 3, 3)
+    text = serialize_surface(SurfaceFile(result.surface, {}))
+    assert hashlib.sha256(text.encode()).hexdigest() == _SURFACE_DIGESTS[method, per]
 
 
 def test_methods_agree_on_equal_rows():
