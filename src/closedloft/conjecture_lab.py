@@ -21,7 +21,7 @@ alone.  The measurement is one pass over the same batch, whatever the n and
 n̂ of its rows: one check of the domains and parameters, one cyclic
 extension, one [N; A] assembly and one condition test, one stacked SVD per
 distinct matrix shape into one zero-padded array of singular values, and one
-rank reduction (``rank_report``'s) over that array.  Each SVD sees the
+rank reduction (``singular_value_rank``) over that array.  Each SVD sees the
 matrices themselves, not their padding, so a record does not depend on
 which trials share its batch.
 """

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ContractError, InvalidInputError, PreconditionError, SingularSystemError, ZeroPivotError
+from .errors import ContractError, InvalidInputError, PreconditionError, SingularSystemError
 from .linalg_solve import (
     RankReport,
     assemble_open_collocation,
@@ -113,7 +113,7 @@ def interpolate_open(points, params, kv):
     """Square open interpolation over a clamped knot vector.
 
     Uses the no-pivot banded path when the collocation matrix is banded (the
-    averaging-knot case), falling back to pivoted dense elimination.
+    averaging-knot case), and pivoted dense elimination otherwise.
     """
     pts = as_points(points, min_count=2)
     if params.values.size != pts.shape[0]:
@@ -124,13 +124,7 @@ def interpolate_open(points, params, kv):
         )
     matrix = assemble_open_collocation(params, kv)
     bw = semi_bandwidth(matrix)
-    try:
-        if bw < kv.degree:
-            ctrl = solve_banded_no_pivot(matrix, bw, pts)
-        else:
-            ctrl = solve_dense(matrix, pts)
-    except ZeroPivotError:
-        ctrl = solve_dense(matrix, pts)
+    ctrl = solve_banded_no_pivot(matrix, bw, pts) if bw < kv.degree else solve_dense(matrix, pts)
     residual = float(np.linalg.norm(matrix @ ctrl - pts, axis=1).max())
     if residual > OPEN_RESIDUAL_TOL * _relative_scale(pts):
         raise SingularSystemError(

@@ -25,11 +25,6 @@ class SingularSystemError(ClosedLoftError):
         self.condition_ok = condition_ok
 
 
-class ZeroPivotError(ClosedLoftError):
-    """Signal raised by the no-pivot banded solver; callers retry with the
-    dense solver."""
-
-
 class PreconditionError(ClosedLoftError):
     """A documented precondition of an operation was not met."""
 

@@ -15,31 +15,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import InvalidInputError, SingularSystemError, ZeroPivotError
+from .errors import InvalidInputError, SingularSystemError
 from .spline_core import CYCLIC, CLAMPED, row_prefix, row_window
 
 # A pivot below this fraction of the largest matrix entry is treated as an
 # exact zero (numerically singular).
 PIVOT_TOL = 1e-14
 
+# A singular value below this fraction of the largest does not count
+# toward the rank.
+RANK_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class RankReport:
-    """Singular-value summary of a matrix.
-
-    For a stack of matrices, ``rank`` and ``condition`` are arrays over the
-    stack and ``singular_values`` has one row per matrix.
-    """
+    """Singular-value summary of a matrix."""
 
     rank: int
     singular_values: np.ndarray
     condition: float
     tolerance: float
-
-    @property
-    def sigma_ratio(self):
-        s = self.singular_values
-        return float(s[-1] / s[0]) if s.size and s[0] > 0 else 0.0
 
 
 def singular_value_rank(s, rel_tol, lengths=None):
@@ -61,19 +56,12 @@ def singular_value_rank(s, rel_tol, lengths=None):
     return rank, top, bottom, cond
 
 
-def rank_report(matrix, rel_tol=1e-12):
-    """Rank and condition estimate via singular values (LAPACK bidiagonalization).
-
-    ``matrix`` may carry leading stack axes; one stacked SVD then serves the
-    whole stack, and each matrix gets the singular values a call on it alone
-    gives.
-    """
-    m = np.asarray(matrix, dtype=float)
-    s = np.linalg.svd(m, compute_uv=False)
-    rank, _top, _bottom, cond = singular_value_rank(s, rel_tol)
-    if m.ndim == 2:
-        return RankReport(int(rank), s, float(cond), rel_tol)
-    return RankReport(rank, s, cond, rel_tol)
+def rank_report(matrix):
+    """Rank and condition estimate of one matrix via its singular values
+    (LAPACK bidiagonalization), at :data:`RANK_TOL`."""
+    s = np.linalg.svd(np.asarray(matrix, dtype=float), compute_uv=False)
+    rank, _top, _bottom, cond = singular_value_rank(s, RANK_TOL)
+    return RankReport(int(rank), s, float(cond), RANK_TOL)
 
 
 def assemble_open_collocation(params, kv):
@@ -191,8 +179,8 @@ def solve_banded_no_pivot(matrix, semi_bandwidth, rhs):
     """Gaussian elimination without pivoting, restricted to the band.
 
     Meant for the totally-positive banded systems of open averaging-knot
-    interpolation; a vanishing pivot raises :class:`ZeroPivotError` so the
-    caller can fall back to the pivoted dense solver.
+    interpolation.  On a vanishing pivot the system is solved by
+    :func:`solve_dense` instead, which pivots.
     """
     a = np.array(matrix, dtype=float)
     b = np.atleast_2d(np.asarray(rhs, dtype=float).T).T.copy()
@@ -204,7 +192,7 @@ def solve_banded_no_pivot(matrix, semi_bandwidth, rhs):
     for k in range(n):
         piv = a[k, k]
         if abs(piv) <= PIVOT_TOL * scale:
-            raise ZeroPivotError(f"zero pivot at row {k}")
+            return solve_dense(matrix, rhs)
         hi = min(k + bw + 1, n)
         for i in range(k + 1, hi):
             if a[i, k] != 0.0:

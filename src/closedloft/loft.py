@@ -22,7 +22,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import ClosedLoftError, InvalidInputError, ZeroPivotError
+from .errors import ClosedLoftError, InvalidInputError
 from .curve_interp import (
     ClosedInterpolationProblem,
     build_domain_knots_by_input_knots,
@@ -225,7 +225,12 @@ def build_common_domain_knots(params, degree, per):
 
 
 def _column_parameters(net):
-    """Chord parameters of the column control polygons, averaged across columns."""
+    """Chord parameters of the column control polygons, averaged across columns.
+
+    Columns of zero length count for nothing.  When no column has a length,
+    or the averages do not increase strictly (two identical consecutive
+    rows give every column a zero chord), the parameters are uniform.
+    """
     m1 = net.shape[0]
     # one contiguous row per column, so each column's chords are summed in
     # the pairwise order of a sum over that column alone
@@ -255,10 +260,7 @@ def _interpolate_columns(net, degree):
     matrix = assemble_open_collocation(s, kv_u)
     rhs = net.reshape(m1, cols * 3)
     bw = semi_bandwidth(matrix)
-    try:
-        sol = solve_banded_no_pivot(matrix, bw, rhs) if bw < degree else solve_dense(matrix, rhs)
-    except ZeroPivotError:
-        sol = solve_dense(matrix, rhs)
+    sol = solve_banded_no_pivot(matrix, bw, rhs) if bw < degree else solve_dense(matrix, rhs)
     return sol.reshape(m1, cols, 3), kv_u, s
 
 

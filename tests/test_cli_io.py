@@ -3,6 +3,9 @@ import hashlib
 import io
 import json
 import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -549,6 +552,17 @@ def test_cmd_loft_unknown_flag(tmp_path):
     assert "unrecognized arguments: --seed 5" in err and not out.exists()
 
 
+def test_python_m_closedloft_runs_the_cli_without_a_runpy_warning():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli_io.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-m", "closedloft", "--version"], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True,
+    )
+    assert out.returncode == 0
+    assert out.stdout.strip() == cli_io.__version__
+    assert "RuntimeWarning" not in out.stderr
+
+
 # --- CLI: interp-curve ---
 
 def test_cmd_interp_curve_square_natural(tmp_path):
@@ -576,6 +590,17 @@ def test_cmd_interp_curve_even_natural_warns(tmp_path):
     warnings = [line for line in err.splitlines() if "warn" in line.lower()]
     assert len(warnings) == 1 and warnings[0].startswith("closedloft: warning: degree-4 ")
     assert code in (0, 2)  # ill-conditioned; may solve or fail with diagnostics
+
+
+def test_cmd_interp_curve_singular_reports_rank_line(tmp_path):
+    inp = _write(tmp_path, "c10.json", json.dumps({"version": 1, "rows": [circle_points(10).tolist()]}))
+    code, _, err = _run(["interp-curve", "--input", inp, "--closed", "--degree", "4", "--knot-method", "natural"])
+    assert code == 2
+    failure, report = err.splitlines()[-2:]
+    assert failure == "closedloft: numerical failure: closed system matrix is numerically singular"
+    # the condition of a singular matrix is rounding noise: only its size is pinned
+    fields = re.fullmatch(r"closedloft: rank=9 condition=(\S+) tolerance=1\.0e-12", report)
+    assert fields and float(fields[1]) > 1e15
 
 
 def test_cmd_interp_curve_odd_natural_does_not_warn(tmp_path):

@@ -14,7 +14,7 @@ from closedloft import _kernels
 from closedloft import linalg_solve as la
 from closedloft import param_knots as pk
 from closedloft import spline_core as sc
-from closedloft.errors import InvalidInputError, SingularSystemError, ZeroPivotError
+from closedloft.errors import InvalidInputError, SingularSystemError
 
 from conftest import circle_points
 
@@ -170,10 +170,14 @@ def test_banded_tridiagonal_matches_dense():
     )
 
 
-def test_banded_zero_pivot_signals():
+def test_banded_zero_pivot_falls_back_to_dense():
     m = np.array([[0.0, 1.0], [1.0, 0.0]])
-    with pytest.raises(ZeroPivotError):
-        la.solve_banded_no_pivot(m, 1, np.ones(2))
+    b = np.array([[1.0, 2.0], [3.0, 4.0]])
+    x = la.solve_banded_no_pivot(m, 1, b)
+    assert x.tobytes() == la.solve_dense(m, b).tobytes()
+    np.testing.assert_array_equal(x, [[3.0, 4.0], [1.0, 2.0]])
+    with pytest.raises(SingularSystemError):
+        la.solve_banded_no_pivot(np.zeros((2, 2)), 1, np.ones(2))
 
 
 def test_banded_matches_dense_on_interpolation_system(rng):

@@ -536,3 +536,19 @@ def test_column_parameters_equal_the_per_column_loop(m1, cols, flat, seed):
     net[:, rng.integers(0, cols, flat)] = net[:1, rng.integers(0, cols, flat)]
     for case in (net, np.broadcast_to(net[:1], net.shape)):
         assert lf._column_parameters(case).values.tobytes() == column_parameters_loop(case).tobytes()
+
+
+@pytest.mark.parametrize("method", ["piegl", "park", "open"])
+def test_repeated_row_lofts_at_uniform_longitudinal_parameters(method):
+    # rows 1 and 2 coincide: every column has a zero chord between them, so
+    # the averaged parameters do not increase and the rule gives uniform ones
+    rows = [circle_points(16, z=z) for z in (0.0, 1.0, 1.0, 2.0)]
+    loft = {
+        "piegl": lambda: lf.loft_closed_piegl(rows, 3, 3, 1.0),
+        "park": lambda: lf.loft_closed_park(rows, 3, 3, 1.0),
+        "open": lambda: lf.loft_open(rows, 3, 3),
+    }[method]
+    result = loft()
+    assert result.longitudinal_params.tolist() == np.linspace(0.0, 1.0, 4).tolist()
+    assert result.max_surface_residual < 1e-15
+    assert _surface_residual(result, rows) < 1e-15
